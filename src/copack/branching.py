@@ -54,6 +54,15 @@ class SolveStats:
     repeats_used: int = 0
     guard_rejects: int = 0
 
+    def add(self, other: SolveStats):
+        """Fold in another solve's counters: sums, and the widest leaf."""
+        self.nodes += other.nodes
+        self.reductions += other.reductions
+        self.dp_calls += other.dp_calls
+        self.dp_width = max(self.dp_width, other.dp_width)
+        self.repeats_used += other.repeats_used
+        self.guard_rejects += other.guard_rejects
+
 
 @dataclass
 class SolveOutcome:

@@ -130,7 +130,7 @@ def _solve_decision(g: Graph, k: int, cfg: RunConfig, stats_sink: dict):
         out = solve_cpcp(g, k, cfg.pw_limit, dp_allowed=dp_allowed)
     else:
         out = solve_cpp(g, k, cfg.repeats, cfg.seed, cfg.pw_limit, dp_allowed=dp_allowed)
-    stats_sink["stats"] = out.stats
+    stats_sink.setdefault("stats", SolveStats()).add(out.stats)
     return out.answer, out.witness
 
 
@@ -184,6 +184,7 @@ def command_solve(cfg: RunConfig, path: str):
             dp_calls=stats.dp_calls,
             width=stats.dp_width,
             repeats=stats.repeats_used,
+            guard_rejects=stats.guard_rejects,
         )
     elif "width" in sink:
         record["width"] = sink["width"]
@@ -277,6 +278,11 @@ def main(argv=None) -> int:
             return EXIT_YES
     except (GraphFormatError, SizeLimitError, DpDisabledError, ValueError, IndexError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        # a solver bug or a search too deep for the interpreter's stack: exit 1
+        # would read as "no", so report it as an error
+        print("error: internal %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_ERROR
     return EXIT_ERROR
 

@@ -14,6 +14,11 @@ one-sided error comes from.
 Bag labels: deleted; kept degree-0 (side one by convention); kept degree-1 on
 side one; kept degree-1 on side two; kept degree-2 (no further edges can
 arrive, so the side no longer matters).
+
+The table maps (bag labels, isolates, vertices, edges, markers) to a Python
+int whose bit w is the count's parity at weight w. Toggling a count is an
+XOR, adding a vertex or edge weight is a left shift of the whole int, and an
+entry whose int reaches 0 is dropped.
 """
 
 from __future__ import annotations
@@ -56,11 +61,13 @@ def sample_weights(g: Graph, seed: int) -> WeightAssignment:
     return WeightAssignment(vw, ew, n_max)
 
 
-def _toggle(table: set, key):
-    if key in table:
-        table.discard(key)
-    else:
-        table.add(key)
+def _xor(table: dict, key, bits: int):
+    table[key] = table.get(key, 0) ^ bits
+
+
+def _bit_positions(bits: int) -> list[int]:
+    s = bin(bits)
+    return [len(s) - 1 - i for i, c in enumerate(s) if c == "1"]
 
 
 def parity_dp(
@@ -77,25 +84,26 @@ def parity_dp(
     kept vertices; use only for decisions, never when the full table matters.
     """
     intro_left = sum(1 for op, _ in events.events if op == "introduce")
-    table: set = {((), 0, 0, 0, 0, 0)}
+    table: dict = {((), 0, 0, 0, 0): 1}
     bag: list[int] = []
 
     for op, v in events.events:
         if not g.is_alive(v):
             raise ValueError("event vertex %d is not alive" % v)
-        new: set = set()
+        new: dict = {}
         if op == "introduce":
             intro_left -= 1
             p = bisect_left(bag, v)
             nbrs = [(i, bag[i]) for i in range(len(bag)) if bag[i] in g._adj[v]]
             ew = {i: weights.edge_weights[(min(u, v), max(u, v))] for i, u in nbrs}
             wv = weights.vertex_weights[v]
-            for key in table:
-                labels, a, n, e, w, m = key
-                _toggle(new, (labels[:p] + (DEL,) + labels[p:], a, n, e, w, m))
+            for key, bits in table.items():
+                labels, a, n, e, m = key
+                _xor(new, (labels[:p] + (DEL,) + labels[p:], a, n, e, m), bits)
                 kept = [(i, labels[i]) for i, _ in nbrs if labels[i] != DEL]
+                bv = bits << wv
                 if len(kept) == 0:
-                    _toggle(new, (labels[:p] + (ISO,) + labels[p:], a + 1, n + 1, e, w + wv, m))
+                    _xor(new, (labels[:p] + (ISO,) + labels[p:], a + 1, n + 1, e, m), bv)
                 elif len(kept) == 1:
                     i, l = kept[0]
                     we = ew[i]
@@ -105,20 +113,20 @@ def parity_dp(
                         # its first edge fixes it to v's side
                         base[i] = ONE1
                         nl = tuple(base[:p]) + (ONE1,) + tuple(base[p:])
-                        _toggle(new, (nl, a - 1, n + 1, e + 1, w + wv, m))
-                        _toggle(new, (nl, a - 1, n + 1, e + 1, w + wv + we, m + 1))
+                        _xor(new, (nl, a - 1, n + 1, e + 1, m), bv)
+                        _xor(new, (nl, a - 1, n + 1, e + 1, m + 1), bv << we)
                         base[i] = ONE2
                         nl = tuple(base[:p]) + (ONE2,) + tuple(base[p:])
-                        _toggle(new, (nl, a - 1, n + 1, e + 1, w + wv, m))
+                        _xor(new, (nl, a - 1, n + 1, e + 1, m), bv)
                     elif l == ONE1:
                         base[i] = TWO
                         nl = tuple(base[:p]) + (ONE1,) + tuple(base[p:])
-                        _toggle(new, (nl, a, n + 1, e + 1, w + wv, m))
-                        _toggle(new, (nl, a, n + 1, e + 1, w + wv + we, m + 1))
+                        _xor(new, (nl, a, n + 1, e + 1, m), bv)
+                        _xor(new, (nl, a, n + 1, e + 1, m + 1), bv << we)
                     elif l == ONE2:
                         base[i] = TWO
                         nl = tuple(base[:p]) + (ONE2,) + tuple(base[p:])
-                        _toggle(new, (nl, a, n + 1, e + 1, w + wv, m))
+                        _xor(new, (nl, a, n + 1, e + 1, m), bv)
                     # l == TWO: no kept branch, the neighbor is saturated
                 elif len(kept) == 2:
                     (i1, l1), (i2, l2) = kept
@@ -134,13 +142,10 @@ def parity_dp(
                         base[i2] = one if l2 == ISO else TWO
                         nl = tuple(base[:p]) + (TWO,) + tuple(base[p:])
                         a2, n2, e2 = a - iso_drop, n + 1, e + 2
+                        _xor(new, (nl, a2, n2, e2, m), bv)
                         if side == 1:
-                            _toggle(new, (nl, a2, n2, e2, w + wv, m))
-                            _toggle(new, (nl, a2, n2, e2, w + wv + we1, m + 1))
-                            _toggle(new, (nl, a2, n2, e2, w + wv + we2, m + 1))
-                            _toggle(new, (nl, a2, n2, e2, w + wv + we1 + we2, m + 2))
-                        else:
-                            _toggle(new, (nl, a2, n2, e2, w + wv, m))
+                            _xor(new, (nl, a2, n2, e2, m + 1), (bv << we1) ^ (bv << we2))
+                            _xor(new, (nl, a2, n2, e2, m + 2), bv << (we1 + we2))
                 # more than 2 kept bag-neighbors: v cannot be kept
             insort(bag, v)
         elif op == "forget":
@@ -148,19 +153,17 @@ def parity_dp(
                 p = bag.index(v)
             except ValueError:
                 raise ValueError("vertex %d forgotten while not in bag" % v)
-            for key in table:
-                labels, a, n, e, w, m = key
-                _toggle(new, (labels[:p] + labels[p + 1:], a, n, e, w, m))
+            for (labels, a, n, e, m), bits in table.items():
+                _xor(new, (labels[:p] + labels[p + 1:], a, n, e, m), bits)
             bag.pop(p)
         else:
             raise ValueError("unknown event %r" % (op,))
-        if min_keep is not None:
-            new = {key for key in new if key[2] + intro_left >= min_keep}
-        table = new
+        keep = 0 if min_keep is None else min_keep - intro_left
+        table = {key: bits for key, bits in new.items() if bits and key[2] >= keep}
 
     if bag:
         raise ValueError("events leave a nonempty bag: %s" % bag)
-    return {key[1:] for key in table}
+    return {(a, n, e, w, m) for (_, a, n, e, m), bits in table.items() for w in _bit_positions(bits)}
 
 
 def decide_cpp_once(g: Graph, k: int, events: NiceEventSequence, seed: int) -> bool:

@@ -3,8 +3,13 @@ edge lines with 1-based vertices."""
 
 from __future__ import annotations
 
-from .errors import GraphFormatError
+from .errors import GraphFormatError, SizeLimitError
 from .graph import Graph
+
+# Largest vertex count a header may declare. Graph(n) allocates n adjacency
+# sets up front, so the check comes before it; the exact solvers are far from
+# useful at this size anyway.
+MAX_VERTICES = 100_000
 
 
 def parse_graph(text: str) -> Graph:
@@ -27,6 +32,10 @@ def parse_graph(text: str) -> Graph:
                 raise GraphFormatError("non-integer header field", ln)
             if n < 0 or declared_m < 0:
                 raise GraphFormatError("negative counts in header", ln)
+            if n > MAX_VERTICES:
+                raise SizeLimitError(
+                    "line %d: header declares %d vertices, the limit is %d" % (ln, n, MAX_VERTICES)
+                )
             g = Graph(n)
         elif parts[0] == "e":
             if g is None:

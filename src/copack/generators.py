@@ -86,7 +86,10 @@ def proper_graph(n: int, seed: int, max_attempts: int = 200) -> Graph:
 
 
 def _try_proper(n: int, rng: random.Random):
-    h = max(2, min(n // 4, 2 + rng.randint(0, 3)))
+    # 2-5 hubs up to 21 vertices; past that the floor grows with n, since a
+    # hub with its connectors and pendants holds only about six vertices
+    lo = max(2, (n - 10) // 4)
+    h = max(lo, min(n // 4, lo + rng.randint(0, 3)))
     caps = [rng.choice((3, 3, 4)) for _ in range(h)]
     edges = []
     deg = [0] * h

@@ -148,3 +148,77 @@ def test_main_branch_mode_errors_on_proper_leaf(tmp_path, capsys):
     f = tmp_path / "p.gr"
     f.write_text(write_graph(proper_graph(10, seed=4)))
     assert main(["solve", "--problem", "cpcp", "-k", "5", "--mode", "branch", str(f)]) == 2
+
+
+def test_main_internal_error_exits_2(tmp_path, capsys):
+    """A search deeper than the interpreter's stack is an error, not a no."""
+    import sys
+
+    from copack.graph import Graph
+
+    k8s = [(8 * c + i, 8 * c + j) for c in range(40) for i in range(8) for j in range(i + 1, 8)]
+    f = tmp_path / "k8s.gr"
+    f.write_text(write_graph(Graph.from_edges(320, k8s)))
+    argv = ["solve", "--problem", "cpcp", "-k", "240", str(f)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        code = main(argv)
+    finally:
+        sys.setrecursionlimit(old)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_huge_header_is_refused_before_allocating(tmp_path):
+    import tracemalloc
+
+    from copack.dimacs import MAX_VERTICES
+    from copack.errors import SizeLimitError
+
+    assert parse_graph("p edge %d 0\n" % MAX_VERTICES).size == MAX_VERTICES
+    # just past the limit first, so that a missing check costs megabytes, not the machine
+    for n in (MAX_VERTICES + 1, 10**9):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError):
+                parse_graph("p edge %d 0\n" % n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    f = tmp_path / "huge.gr"
+    f.write_text("p edge 1000000000 0\n")
+    assert main(["solve", "--problem", "cpcp", "-k", "1", str(f)]) == 2
+
+
+def test_optimize_record_sums_every_decision(tmp_path):
+    f = tmp_path / "g.gr"
+    g = gnm_graph(16, 34, seed=2)
+    f.write_text(write_graph(g))
+    rec, code = command_solve(RunConfig(problem="cpp", optimize=True), str(f))
+    assert code == 0
+    # the same decisions, one run each
+    per_decision = []
+    lo, hi = 0, g.alive_count
+    while lo < hi:
+        mid = (lo + hi) // 2
+        one, one_code = command_solve(RunConfig(problem="cpp", k=mid), str(f))
+        per_decision.append(one)
+        if one_code == 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    assert rec["min_size"] == lo and len(per_decision) > 1
+    assert rec["nodes"] >= max(r["nodes"] for r in per_decision)
+    for field in ("nodes", "reductions", "dp_calls", "repeats", "guard_rejects"):
+        assert rec[field] == sum(r[field] for r in per_decision), field
+    assert rec["width"] == max(r["width"] for r in per_decision)

@@ -9,8 +9,8 @@ from copack.cutcount import (
     parity_dp,
     sample_weights,
 )
-from copack.decomp import exact_pathwidth, to_nice
-from copack.generators import cycle_graph, path_graph
+from copack.decomp import exact_pathwidth, heuristic_pd, to_nice
+from copack.generators import cycle_graph, path_graph, proper_graph
 from copack.graph import Graph
 from copack.oracles import (
     cc_candidate_counts,
@@ -169,3 +169,26 @@ def test_isolation_rate():
 def test_derive_seed_spread():
     seen = {derive_seed(0, t) for t in range(100)} | {derive_seed(s, 0) for s in range(1, 101)}
     assert len(seen) == 200
+
+
+def test_parity_decomposition_independent_past_oracle():
+    """Past the oracle's reach the DP is checked against itself: the same
+    weights over a narrow exact and a wider greedy decomposition give the
+    same final table."""
+    for n in (16, 17, 18):
+        g = proper_graph(n, seed=n)
+        exact = to_nice(exact_pathwidth(g)[1])
+        greedy = to_nice(heuristic_pd(g))
+        assert greedy.width > exact.width
+        w = sample_weights(g, seed=derive_seed(n, 0))
+        assert parity_dp(g, exact, w) == parity_dp(g, greedy, w), n
+
+
+def test_parity_pruning_keeps_every_reachable_key():
+    for n in (16, 18):
+        g = proper_graph(n, seed=n + 1)
+        ev = to_nice(heuristic_pd(g))
+        w = sample_weights(g, seed=derive_seed(n, 1))
+        full = parity_dp(g, ev, w)
+        for t in (n - 4, n - 1, n):
+            assert parity_dp(g, ev, w, min_keep=t) == {key for key in full if key[1] >= t}, (n, t)

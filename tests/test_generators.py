@@ -51,3 +51,10 @@ def test_proper_generator():
             assert g.alive_count == n
             assert is_proper(g)
             assert len(g.components()) == 1
+
+
+def test_proper_generator_scales():
+    for n in range(6, 49):
+        for s in range(5):
+            g = proper_graph(n, seed=s)
+            assert g.alive_count == n and is_proper(g) and len(g.components()) == 1, (n, s)
