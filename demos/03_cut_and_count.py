@@ -33,5 +33,6 @@ print("\nunmarked full subgraph counted %d times -> parity 0"
 # with fresh weights drives the false-negative rate to (1/3)^repeats.
 c6 = cycle_graph(6)
 ev6 = to_nice(exact_pathwidth(c6)[1])
-print("\nC6 budget 0:", decide_cpp(c6, 0, ev6, repeats=10, seed=0))
-print("C6 budget 1:", decide_cpp(c6, 1, ev6, repeats=10, seed=0))
+# decide_cpp returns how many runs a yes took, or 0 after `repeats` noes.
+print("\nC6 budget 0, runs to a yes:", decide_cpp(c6, 0, ev6, repeats=10, seed=0))
+print("C6 budget 1, runs to a yes:", decide_cpp(c6, 1, ev6, repeats=10, seed=0))

@@ -3,7 +3,7 @@ d-bounded-degree vertex deletion: branch-and-search over structural rules,
 a deletion DP on path decompositions, and a randomized cut & count DP,
 cross-validated by brute-force oracles."""
 
-from .bdd import BddDp, bdd_dp_solve
+from .bdd import bdd_dp_solve
 from .branching import (
     BranchChild,
     BranchSet,
@@ -41,7 +41,7 @@ from .decomp import (
 )
 from .dimacs import parse_graph, write_graph
 from .errors import DpDisabledError, GraphFormatError, InternalSolverError, SizeLimitError
-from .graph import Graph, find_structure, STRUCTURE_KINDS
+from .graph import Graph
 from .oracles import (
     MarkedCcSolution,
     branching_factor,

@@ -16,111 +16,81 @@ from .decomp import NiceEventSequence
 from .graph import Graph
 
 
-class BddDp:
-    def __init__(self, g: Graph, events: NiceEventSequence, d: int):
-        if d < 0:
-            raise ValueError("degree bound d must be >= 0")
-        self.g = g
-        self.events = events
-        self.d = d
-        self._done = False
-        self._min_size = None
-        self._parents = None  # per event: {labels: (prev_labels, deleted_vertex_or_None)}
+def bdd_dp_solve(g: Graph, events: NiceEventSequence, d: int) -> tuple[int, set[int]]:
+    """(minimum deletions for max degree <= d, one witness set)."""
+    if d < 0:
+        raise ValueError("degree bound d must be >= 0")
+    del_label = d + 1
+    table: dict[tuple, int] = {(): 0}
+    parents: list[dict] = []  # per event: {labels: (prev_labels, deleted_vertex_or_None)}
+    bag: list[int] = []
+    introduced = set()
 
-    def run(self) -> int:
-        g, d = self.g, self.d
-        del_label = d + 1
-        table: dict[tuple, int] = {(): 0}
-        parents: list[dict] = []
-        bag: list[int] = []
-        introduced = set()
-
-        for op, v in self.events.events:
-            if not g.is_alive(v):
-                raise ValueError("event vertex %d is not alive" % v)
-            par: dict = {}
-            new: dict[tuple, int] = {}
-            if op == "introduce":
-                if v in introduced:
-                    raise ValueError("vertex %d introduced twice" % v)
-                introduced.add(v)
-                p = bisect_left(bag, v)
-                nbr_idx = [i for i, u in enumerate(bag) if u in g._adj[v]]
-                for labels, cost in table.items():
-                    nl = labels[:p] + (del_label,) + labels[p:]
-                    old = new.get(nl)
-                    if old is None or cost + 1 < old:
-                        new[nl] = cost + 1
-                        par[nl] = (labels, v)
-                    shifted = list(labels)
-                    kept_nbrs = 0
-                    feasible = True
-                    for i in nbr_idx:
-                        l = shifted[i]
-                        if l == del_label:
-                            continue
-                        if l == d:
-                            feasible = False
-                            break
-                        shifted[i] = l + 1
-                        kept_nbrs += 1
-                    if feasible and kept_nbrs <= d:
-                        nl = tuple(shifted[:p]) + (kept_nbrs,) + tuple(shifted[p:])
-                        old = new.get(nl)
-                        if old is None or cost < old:
-                            new[nl] = cost
-                            par[nl] = (labels, None)
-                insort(bag, v)
-            elif op == "forget":
-                try:
-                    p = bag.index(v)
-                except ValueError:
-                    raise ValueError("vertex %d forgotten while not in bag" % v)
-                for labels, cost in table.items():
-                    nl = labels[:p] + labels[p + 1:]
+    for op, v in events.events:
+        if not g.is_alive(v):
+            raise ValueError("event vertex %d is not alive" % v)
+        par: dict = {}
+        new: dict[tuple, int] = {}
+        if op == "introduce":
+            if v in introduced:
+                raise ValueError("vertex %d introduced twice" % v)
+            introduced.add(v)
+            p = bisect_left(bag, v)
+            nbr_idx = [i for i, u in enumerate(bag) if u in g._adj[v]]
+            for labels, cost in table.items():
+                nl = labels[:p] + (del_label,) + labels[p:]
+                old = new.get(nl)
+                if old is None or cost + 1 < old:
+                    new[nl] = cost + 1
+                    par[nl] = (labels, v)
+                shifted = list(labels)
+                kept_nbrs = 0
+                feasible = True
+                for i in nbr_idx:
+                    l = shifted[i]
+                    if l == del_label:
+                        continue
+                    if l == d:
+                        feasible = False
+                        break
+                    shifted[i] = l + 1
+                    kept_nbrs += 1
+                if feasible and kept_nbrs <= d:
+                    nl = tuple(shifted[:p]) + (kept_nbrs,) + tuple(shifted[p:])
                     old = new.get(nl)
                     if old is None or cost < old:
                         new[nl] = cost
                         par[nl] = (labels, None)
-                bag.pop(p)
-            else:
-                raise ValueError("unknown event %r" % (op,))
-            assert len(new) <= (d + 2) ** len(bag)
-            table = new
-            parents.append(par)
+            insort(bag, v)
+        elif op == "forget":
+            try:
+                p = bag.index(v)
+            except ValueError:
+                raise ValueError("vertex %d forgotten while not in bag" % v)
+            for labels, cost in table.items():
+                nl = labels[:p] + labels[p + 1:]
+                old = new.get(nl)
+                if old is None or cost < old:
+                    new[nl] = cost
+                    par[nl] = (labels, None)
+            bag.pop(p)
+        else:
+            raise ValueError("unknown event %r" % (op,))
+        assert len(new) <= (d + 2) ** len(bag)
+        table = new
+        parents.append(par)
 
-        if bag:
-            raise ValueError("events leave a nonempty bag: %s" % bag)
-        if set(g.vertices()) - introduced:
-            raise ValueError("events never introduce: %s" % sorted(set(g.vertices()) - introduced))
-        self._min_size = table[()]
-        self._parents = parents
-        self._done = True
-        return self._min_size
+    if bag:
+        raise ValueError("events leave a nonempty bag: %s" % bag)
+    if set(g.vertices()) - introduced:
+        raise ValueError("events never introduce: %s" % sorted(set(g.vertices()) - introduced))
 
-    @property
-    def min_size(self) -> int:
-        if not self._done:
-            raise RuntimeError("dp has not been run to completion")
-        return self._min_size
-
-    def recover_solution(self) -> set[int]:
-        """Walk predecessor links; collect the vertices labeled deleted at
-        their introduce event."""
-        if not self._done:
-            raise RuntimeError("dp has not been run to completion")
-        out: set[int] = set()
-        state: tuple = ()
-        for par in reversed(self._parents):
-            prev, deleted = par[state]
-            if deleted is not None:
-                out.add(deleted)
-            state = prev
-        return out
-
-
-def bdd_dp_solve(g: Graph, events: NiceEventSequence, d: int) -> tuple[int, set[int]]:
-    """(minimum deletions for max degree <= d, one witness set)."""
-    dp = BddDp(g, events, d)
-    dp.run()
-    return dp.min_size, dp.recover_solution()
+    # walk the predecessor links back; collect the vertices labeled deleted
+    # at their introduce event
+    witness: set[int] = set()
+    state: tuple = ()
+    for par in reversed(parents):
+        state, deleted = par[state]
+        if deleted is not None:
+            witness.add(deleted)
+    return table[()], witness

@@ -32,7 +32,6 @@ class Instance:
 @dataclass(frozen=True)
 class BranchChild:
     delete: frozenset
-    edge_deletes: tuple = ()
 
     @property
     def decrement(self) -> int:
@@ -171,102 +170,75 @@ def _component_min_deletions(g: Graph, comp, acyclic: bool) -> tuple[int, ...]:
     return tuple(verts[i] for i in range(c) if (best_mask >> i) & 1)
 
 
-def reduce_cpcp(inst: Instance, stats: SolveStats | None = None) -> Instance:
-    """Fixpoint of: brute-force small components; drop edges joining two
-    degree-<=2 vertices; resolve triangles with a single outside neighbor by
-    deleting that neighbor (the triangle itself then costs nothing)."""
-    g = inst.graph
+def _delete(inst: Instance, removed, deleted):
+    """Remove `removed` from the graph, of which `deleted` go into the solution."""
+    inst.graph.remove_vertices(removed)
+    inst.deleted.update(deleted)
+    inst.k -= len(deleted)
+
+
+def _smooth(inst: Instance, a: int, mid: int, b: int):
+    """Replace the path a - mid - b by the edge a - b."""
+    inst.graph.remove_vertex(mid)
+    inst.graph.add_edge(a, b)
+
+
+# Reduction rules per problem, in firing order: (finder, action on the
+# instance given the finder's witness).
+_REDUCTIONS = {
+    "cpcp": (
+        # brute-force small components
+        (graphlib.find_small_component, lambda inst, comp: _delete(
+            inst, comp, _component_min_deletions(inst.graph, comp, acyclic=False))),
+        # drop edges joining two degree-<=2 vertices
+        (graphlib.find_low_degree_edge, lambda inst, edge: inst.graph.remove_edge(*edge)),
+        # a triangle with a single outside neighbor x: delete x, and the
+        # triangle itself then costs nothing
+        (graphlib.find_triangle_single_neighbor, lambda inst, tri: _delete(inst, tri, tri[3:])),
+    ),
+    "cpp": (
+        (graphlib.find_small_component, lambda inst, comp: _delete(
+            inst, comp, _component_min_deletions(inst.graph, comp, acyclic=True))),
+        # contract one interior vertex out of any all-degree-2 path with >= 3
+        # interior vertices
+        (graphlib.find_degree_two_path, lambda inst, path: _smooth(inst, *path[1:4])),
+        # x - c1 - c2 - ...: some minimum solution intersects the chain in
+        # nothing or exactly the vertex next to its anchor, so dropping c1
+        # preserves the answer just like the long-path contraction
+        (graphlib.find_pendant_chain, lambda inst, chain: _smooth(inst, *chain)),
+        # pure cycle components cost exactly one deletion and no other rule
+        # ever reaches them
+        (graphlib.find_cycle_component, lambda inst, cyc: _delete(inst, cyc[:1], cyc[:1])),
+    ),
+}
+
+
+def _reduce(inst: Instance, rules, stats: SolveStats | None) -> Instance:
+    """Fire the first applicable rule until none applies or the budget runs out."""
     while not inst.exhausted:
-        comp = graphlib.find_small_component(g)
-        if comp is not None:
-            sol = _component_min_deletions(g, comp, acyclic=False)
-            g.remove_vertices(comp)
-            inst.deleted.update(sol)
-            inst.k -= len(sol)
-            if stats:
-                stats.reductions += 1
-            continue
-        edge = graphlib.find_low_degree_edge(g)
-        if edge is not None:
-            g.remove_edge(*edge)
-            if stats:
-                stats.reductions += 1
-            continue
-        tri = graphlib.find_triangle_single_neighbor(g)
-        if tri is not None:
-            u, v, w, x = tri
-            g.remove_vertices((u, v, w, x))
-            inst.deleted.add(x)
-            inst.k -= 1
-            if stats:
-                stats.reductions += 1
-            continue
-        break
+        for find, act in rules:
+            found = find(inst.graph)
+            if found is not None:
+                act(inst, found)
+                if stats is not None:
+                    stats.reductions += 1
+                break
+        else:
+            break
     return inst
+
+
+def reduce_cpcp(inst: Instance, stats: SolveStats | None = None) -> Instance:
+    """Fixpoint of the co-path/cycle packing reductions, in place."""
+    return _reduce(inst, _REDUCTIONS["cpcp"], stats)
 
 
 def reduce_cpp(inst: Instance, stats: SolveStats | None = None) -> Instance:
-    """Fixpoint of: brute-force small components; contract one interior vertex
-    out of any all-degree-2 path with >= 3 interior vertices; shorten pendant
-    degree-2 chains the same way; break pure cycle components by deleting one
-    vertex (they cost exactly one deletion and no other rule ever reaches
-    them)."""
-    g = inst.graph
-    while not inst.exhausted:
-        comp = graphlib.find_small_component(g)
-        if comp is not None:
-            sol = _component_min_deletions(g, comp, acyclic=True)
-            g.remove_vertices(comp)
-            inst.deleted.update(sol)
-            inst.k -= len(sol)
-            if stats:
-                stats.reductions += 1
-            continue
-        path = graphlib.find_degree_two_path(g)
-        if path is not None:
-            v1, v2, v3 = path[1], path[2], path[3]
-            g.remove_vertex(v2)
-            g.add_edge(v1, v3)
-            if stats:
-                stats.reductions += 1
-            continue
-        chain = graphlib.find_pendant_chain(g)
-        if chain is not None:
-            # x - c1 - c2 - ...: some minimum solution intersects the chain in
-            # nothing or exactly the vertex next to its anchor, so dropping c1
-            # preserves the answer just like the long-path contraction
-            x, c1, c2 = chain
-            g.remove_vertex(c1)
-            g.add_edge(x, c2)
-            if stats:
-                stats.reductions += 1
-            continue
-        cyc = graphlib.find_cycle_component(g)
-        if cyc is not None:
-            g.remove_vertex(cyc[0])
-            inst.deleted.add(cyc[0])
-            inst.k -= 1
-            if stats:
-                stats.reductions += 1
-            continue
-        break
-    return inst
+    """Fixpoint of the co-path packing reductions, in place."""
+    return _reduce(inst, _REDUCTIONS["cpp"], stats)
 
 
 # ------------------------------------------------------------------- steps
-
-
-def step1_children(g: Graph, v: int) -> BranchSet:
-    bs = branch_b1(g, v)
-    bs.rule = "step1"
-    return bs
-
-
-def step2_children(g: Graph, v: int, u: int) -> BranchSet:
-    bs = branch_b2(g, v, u)
-    bs.rule = "step2"
-    _assert_decrements(bs.children, [1, 2, 2, 2])
-    return bs
 
 
 def step3_children(g: Graph, v: int, u1: int, u2: int) -> BranchSet:
@@ -402,40 +374,37 @@ def step_star3_children(g: Graph, v: int, u1: int, u2: int) -> BranchSet:
     return BranchSet("step*3", ch)
 
 
-def _pick_step_cpcp(g: Graph):
-    w = graphlib.find_degree_ge5(g)
-    if w:
-        return step1_children(g, w[0])
-    w = graphlib.find_dominating_deg4(g)
-    if w:
-        return step2_children(g, *w)
-    w = graphlib.find_deg4_heavy_triangle(g)
-    if w:
-        return step3_children(g, *w)
-    w = graphlib.find_deg4_in_triangle(g)
-    if w:
-        return step4_children(g, *w)
-    w = graphlib.find_deg4_adjacent_deg3(g)
-    if w:
-        return step5_children(g, *w)
-    return None
+# Branching steps per problem, in priority order: (finder, function making
+# the branch set from the finder's witness, rule name to report or None to
+# keep the one it sets, expected decrements or None).
+_STEPS = {
+    "cpcp": (
+        (graphlib.find_degree_ge5, branch_b1, "step1", None),
+        (graphlib.find_dominating_deg4, branch_b2, "step2", [1, 2, 2, 2]),
+        (graphlib.find_deg4_heavy_triangle, step3_children, None, None),
+        (graphlib.find_deg4_in_triangle, step4_children, None, None),
+        (graphlib.find_deg4_adjacent_deg3, step5_children, None, None),
+    ),
+    "cpp": (
+        (graphlib.find_degree_ge5, branch_b1, "step1", None),
+        (graphlib.find_dominating_deg4, branch_b2, "step2", [1, 2, 2, 2]),
+        (graphlib.find_deg4_in_triangle, step_star3_children, None, None),
+        (graphlib.find_deg4_adjacent_deg3, step5_children, "step*4", None),
+    ),
+}
 
 
-def _pick_step_cpp(g: Graph):
-    w = graphlib.find_degree_ge5(g)
-    if w:
-        return step1_children(g, w[0])
-    w = graphlib.find_dominating_deg4(g)
-    if w:
-        return step2_children(g, *w)
-    w = graphlib.find_deg4_in_triangle(g)
-    if w:
-        return step_star3_children(g, *w)
-    w = graphlib.find_deg4_adjacent_deg3(g)
-    if w:
-        bs = step5_children(g, *w)
-        bs.rule = "step*4"
-        return bs
+def _pick_step(g: Graph, problem: str) -> BranchSet | None:
+    """The first step of `problem` that applies to g, or None on a leaf."""
+    for find, build, rule, decrements in _STEPS[problem]:
+        found = find(g)
+        if found:
+            bs = build(g, *found)
+            if rule is not None:
+                bs.rule = rule
+            if decrements is not None:
+                _assert_decrements(bs.children, decrements)
+            return bs
     return None
 
 
@@ -448,11 +417,16 @@ def _assert_proper(g: Graph):
 
 
 def _apply_child(inst: Instance, child: BranchChild) -> Instance:
-    g = inst.graph.copy()
-    g.remove_vertices(child.delete)
-    for u, v in child.edge_deletes:
-        g.remove_edge(u, v)
-    return Instance(g, inst.k - child.decrement, inst.deleted | child.delete)
+    return Instance(inst.graph.without_vertices(child.delete), inst.k - child.decrement,
+                    inst.deleted | child.delete)
+
+
+def cpp_leaf(g: Graph, k: int, events, repeats: int, seed: int, stats: SolveStats) -> bool:
+    """Cut & count at budget k with up to `repeats` weightings derived from
+    `seed`; stops at the first yes and counts the runs it made into stats."""
+    runs = cutcount.decide_cpp(g, k, events, repeats, seed)
+    stats.repeats_used += runs or repeats
+    return runs > 0
 
 
 class _Driver:
@@ -465,24 +439,27 @@ class _Driver:
         self.stats = SolveStats()
         self._leaf_counter = 0
 
-    def run(self, inst: Instance):
-        reduce_fn = reduce_cpcp if self.problem == "cpcp" else reduce_cpp
-        reduce_fn(inst, self.stats)
-        if inst.exhausted:
-            return False, None
-        g = inst.graph
-        if g.alive_count == 0:
-            return True, set(inst.deleted)
-        bs = _pick_step_cpcp(g) if self.problem == "cpcp" else _pick_step_cpp(g)
-        if bs is None:
-            return self._leaf(inst)
-        self.stats.nodes += 1
-        for child in bs.children:
-            if child.decrement > inst.k:
+    def run(self, root: Instance):
+        """Depth-first search over the branch tree, children in branch-set
+        order. The stack holds (parent, child) pairs; a child is copied out
+        of its parent only when popped. Returns (answer, witness)."""
+        stack: list[tuple[Instance, BranchChild | None]] = [(root, None)]
+        while stack:
+            parent, child = stack.pop()
+            inst = parent if child is None else _apply_child(parent, child)
+            (reduce_cpcp if self.problem == "cpcp" else reduce_cpp)(inst, self.stats)
+            if inst.exhausted:
                 continue
-            ans, wit = self.run(_apply_child(inst, child))
-            if ans:
-                return True, wit
+            if inst.graph.alive_count == 0:
+                return True, set(inst.deleted)
+            bs = _pick_step(inst.graph, self.problem)
+            if bs is None:
+                ans, wit = self._leaf(inst)
+                if ans:
+                    return True, wit
+                continue
+            self.stats.nodes += 1
+            stack.extend((inst, ch) for ch in reversed(bs.children) if ch.decrement <= inst.k)
         return False, None
 
     def _leaf(self, inst: Instance):
@@ -507,11 +484,7 @@ class _Driver:
             return False, None
         leaf_seed = cutcount.derive_seed(self.seed, self._leaf_counter)
         self._leaf_counter += 1
-        for t in range(self.repeats):
-            self.stats.repeats_used += 1
-            if cutcount.decide_cpp_once(g, inst.k, events, cutcount.derive_seed(leaf_seed, t)):
-                return True, None
-        return False, None
+        return cpp_leaf(g, inst.k, events, self.repeats, leaf_seed, self.stats), None
 
 
 def solve_cpcp(g: Graph, k: int, pw_limit: int = decomp.EXACT_PATHWIDTH_LIMIT,

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from . import generators
 from .bdd import bdd_dp_solve
-from .branching import solve_cpcp, solve_cpp, SolveStats
-from .cutcount import decide_cpp
+from .branching import SolveStats, cpp_leaf, solve_cpcp, solve_cpp
 from .decomp import (
     EXACT_PATHWIDTH_LIMIT,
     decomposition_for,
@@ -109,29 +108,32 @@ def _events_for(g: Graph, cfg: RunConfig):
     return to_nice(pd)
 
 
-def _solve_decision(g: Graph, k: int, cfg: RunConfig, stats_sink: dict):
+def _exact(cfg: RunConfig) -> bool:
+    """Whether the route computes the minimum itself, which answers every k."""
+    return cfg.mode == "oracle" or cfg.problem == "bdd" or (cfg.mode, cfg.problem) == ("dp", "cpcp")
+
+
+def _solve_decision(g: Graph, k: int, cfg: RunConfig, stats: SolveStats):
+    """One solve at budget k, counted into stats: (answer, witness or None,
+    the minimum on the exact routes or None)."""
     if cfg.mode == "oracle":
         mn = oracle_min(g, cfg.problem, cfg.d)
-        stats_sink["min_size"] = mn
-        return k >= mn, None
+        return k >= mn, None, mn
     if cfg.mode == "dp" or cfg.problem == "bdd":
         events = _events_for(g, cfg)
-        stats_sink["width"] = events.width
+        stats.dp_calls += 1
+        stats.dp_width = max(stats.dp_width, events.width)
         if cfg.problem == "cpp":
-            ans = decide_cpp(g, k, events, cfg.repeats, cfg.seed)
-            stats_sink["repeats"] = cfg.repeats
-            return ans, None
-        d = 2 if cfg.problem == "cpcp" else cfg.d
-        mn, wit = bdd_dp_solve(g, events, d)
-        stats_sink["min_size"] = mn
-        return mn <= k, (wit if mn <= k else None)
+            return cpp_leaf(g, k, events, cfg.repeats, cfg.seed, stats), None, None
+        mn, wit = bdd_dp_solve(g, events, 2 if cfg.problem == "cpcp" else cfg.d)
+        return mn <= k, (wit if mn <= k else None), mn
     dp_allowed = cfg.mode != "branch"
     if cfg.problem == "cpcp":
         out = solve_cpcp(g, k, cfg.pw_limit, dp_allowed=dp_allowed)
     else:
         out = solve_cpp(g, k, cfg.repeats, cfg.seed, cfg.pw_limit, dp_allowed=dp_allowed)
-    stats_sink.setdefault("stats", SolveStats()).add(out.stats)
-    return out.answer, out.witness
+    stats.add(out.stats)
+    return out.answer, out.witness, None
 
 
 def command_solve(cfg: RunConfig, path: str):
@@ -143,55 +145,46 @@ def command_solve(cfg: RunConfig, path: str):
     if cfg.problem == "bdd":
         record["d"] = cfg.d
     start = time.monotonic()
-    sink: dict = {}
-    if cfg.optimize:
+    stats = SolveStats()
+    calls = None  # decisions a binary search made
+    if cfg.optimize and not _exact(cfg):
+        # decision-only routes binary-search the minimum
         lo, hi = 0, g.alive_count
         calls = 0
         witness = None
         while lo < hi:
             mid = (lo + hi) // 2
             calls += 1
-            ans, wit = _solve_decision(g, mid, cfg, sink)
+            ans, wit, _ = _solve_decision(g, mid, cfg, stats)
             if ans:
                 hi = mid
                 witness = wit
             else:
                 lo = mid + 1
-        if witness is None and (cfg.problem != "cpp" or cfg.mode == "oracle"):
-            calls += 1
-            _, witness = _solve_decision(g, lo, cfg, sink)
-        record["min_size"] = lo
-        record["answer"] = "yes"
-        if cfg.problem == "cpp" and cfg.mode in ("auto", "dp", "branch"):
-            record["fail_bound"] = "%.3g" % (calls * (1.0 / 3.0) ** cfg.repeats)
-        if witness is not None:
-            record["witness"] = ",".join(str(v) for v in sorted(witness))
-        code = EXIT_YES
+        if witness is None and cfg.problem == "cpcp":
+            _, witness, _ = _solve_decision(g, lo, cfg, stats)
+        ans, mn = True, lo
     else:
-        ans, witness = _solve_decision(g, cfg.k, cfg, sink)
-        record["k"] = cfg.k
-        record["answer"] = "yes" if ans else "no"
-        if witness is not None:
-            record["witness"] = ",".join(str(v) for v in sorted(witness))
-        if "min_size" in sink:
-            record["min_size"] = sink["min_size"]
-        code = EXIT_YES if ans else EXIT_NO
-    stats = sink.get("stats")
-    if isinstance(stats, SolveStats):
-        record.update(
-            nodes=stats.nodes,
-            reductions=stats.reductions,
-            dp_calls=stats.dp_calls,
-            width=stats.dp_width,
-            repeats=stats.repeats_used,
-            guard_rejects=stats.guard_rejects,
-        )
-    elif "width" in sink:
-        record["width"] = sink["width"]
-        if "repeats" in sink:
-            record["repeats"] = sink["repeats"]
+        if not cfg.optimize:
+            record["k"] = cfg.k
+        ans, witness, mn = _solve_decision(g, g.alive_count if cfg.optimize else cfg.k, cfg, stats)
+    record["answer"] = "yes" if ans else "no"
+    if mn is not None:
+        record["min_size"] = mn
+    if calls is not None and cfg.problem == "cpp":
+        record["fail_bound"] = "%.3g" % (calls * (1.0 / 3.0) ** cfg.repeats)
+    if witness is not None:
+        record["witness"] = ",".join(str(v) for v in sorted(witness))
+    record.update(
+        nodes=stats.nodes,
+        reductions=stats.reductions,
+        dp_calls=stats.dp_calls,
+        width=stats.dp_width,
+        repeats=stats.repeats_used,
+        guard_rejects=stats.guard_rejects,
+    )
     record["elapsed"] = "%.3f" % (time.monotonic() - start)
-    return record, code
+    return record, EXIT_YES if ans else EXIT_NO
 
 
 def command_gen(kind: str, params, seed: int = 0, forest_n: int | None = None, k: int | None = None) -> str:

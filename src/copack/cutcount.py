@@ -180,12 +180,16 @@ def decide_cpp_once(g: Graph, k: int, events: NiceEventSequence, seed: int) -> b
     return False
 
 
-def decide_cpp(g: Graph, k: int, events: NiceEventSequence, repeats: int, seed: int) -> bool:
-    """Repeat with independently derived weights; yes is sound, a no is wrong
-    with probability <= (1/3)^repeats on yes-instances."""
+def decide_cpp(g: Graph, k: int, events: NiceEventSequence, repeats: int, seed: int) -> int:
+    """Repeat with independently derived weights until a run says yes.
+
+    Returns how many runs that took, or 0 when all `repeats` runs said no.
+    A yes is sound; a no is wrong with probability <= (1/3)^repeats on
+    yes-instances.
+    """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     for t in range(repeats):
         if decide_cpp_once(g, k, events, derive_seed(seed, t)):
-            return True
-    return False
+            return t + 1
+    return 0

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import GraphFormatError, SizeLimitError
 from .graph import Graph
 
@@ -135,20 +133,32 @@ def validate_events(g: Graph, ev: NiceEventSequence):
 # Pathwidth equals the vertex separation number: minimize, over vertex
 # layouts, the maximum number of placed vertices that still have an
 # unplaced neighbor. h(S) below is the best achievable maximum over all
-# completions of the prefix set S; boundary sizes come from a vectorized
-# precomputation.
+# completions of the prefix set S; boundary sizes come from a bytewise
+# precomputation over all subsets at once.
 
 
 def _boundary_sizes(adj_masks: list[int], n: int) -> list[int]:
-    s = np.arange(1 << n, dtype=np.uint32)
-    b = np.zeros(1 << n, dtype=np.uint8)
+    """b[S] for every subset S: how many vertices of S have a neighbor outside S.
+
+    Works on all 2^n subsets at once, one byte per subset packed into a big
+    int: lane i holds a 1 in byte S iff i is in S, so i counts for S iff its
+    own lane is set and the AND of its neighbors' lanes is not. Counts stay
+    below 256 because n is at most EXACT_PATHWIDTH_LIMIT.
+    """
+    size = 1 << n
+    lanes = [int.from_bytes((bytes(1 << i) + b"\x01" * (1 << i)) * (size >> (i + 1)), "little")
+             for i in range(n)]
+    total = 0
     for i, am in enumerate(adj_masks):
         if not am:
             continue
-        inside = ((s >> np.uint32(i)) & np.uint32(1)).astype(bool)
-        has_out = (np.bitwise_and(np.bitwise_not(s), np.uint32(am)) != 0)
-        b += inside & has_out
-    return b.tolist()
+        all_inside = lanes[i]
+        for j in range(n):
+            if am >> j & 1:
+                all_inside &= lanes[j]
+        total += lanes[i] - all_inside  # all_inside only keeps bytes of lane i
+    del lanes  # n * 2^n bytes; free them before the list is built
+    return list(total.to_bytes(size, "little"))
 
 
 def exact_pathwidth(g: Graph, limit: int = EXACT_PATHWIDTH_LIMIT):

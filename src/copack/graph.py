@@ -4,21 +4,6 @@ from __future__ import annotations
 
 from itertools import combinations
 
-STRUCTURE_KINDS = (
-    "degree_ge5",
-    "dominating_deg4",
-    "triangle_single_neighbor",
-    "heavy_triangle",
-    "deg4_heavy_triangle",
-    "deg4_in_triangle",
-    "deg4_adjacent_deg3",
-    "low_degree_edge",
-    "degree_two_path",
-    "pendant_chain",
-    "small_component",
-    "cycle_component",
-)
-
 
 class Graph:
     """Simple undirected graph on vertex ids 0..size-1.
@@ -84,10 +69,6 @@ class Graph:
         self._check(v)
         return set(self._adj[v])
 
-    def closed_neighborhood(self, v: int) -> set[int]:
-        self._check(v)
-        return self._adj[v] | {v}
-
     def neighborhood_of(self, xs) -> set[int]:
         """N(X): neighbors of the set X, excluding X itself."""
         xs = set(xs)
@@ -132,9 +113,6 @@ class Graph:
                         stack.append(y)
             comps.append(sorted(comp))
         return comps
-
-    def component_count(self) -> int:
-        return len(self.components())
 
     def isolated_count(self) -> int:
         return sum(1 for v in range(self.size) if self._alive[v] and not self._adj[v])
@@ -250,14 +228,6 @@ def find_triangle_single_neighbor(g: Graph):
     return None
 
 
-def find_heavy_triangle(g: Graph):
-    """Triangle with outside neighborhood of size >= 4."""
-    for u, v, w in _triangles(g):
-        if len((g._adj[u] | g._adj[v] | g._adj[w]) - {u, v, w}) >= 4:
-            return (u, v, w)
-    return None
-
-
 def find_deg4_heavy_triangle(g: Graph):
     """(v, u1, u2): degree-4 v in a heavy triangle {v, u1, u2}."""
     for v in g.vertices():
@@ -356,28 +326,3 @@ def find_cycle_component(g: Graph):
         if len(comp) >= 3 and all(len(g._adj[v]) == 2 for v in comp):
             return tuple(comp)
     return None
-
-
-_FINDERS = {
-    "degree_ge5": find_degree_ge5,
-    "dominating_deg4": find_dominating_deg4,
-    "triangle_single_neighbor": find_triangle_single_neighbor,
-    "heavy_triangle": find_heavy_triangle,
-    "deg4_heavy_triangle": find_deg4_heavy_triangle,
-    "deg4_in_triangle": find_deg4_in_triangle,
-    "deg4_adjacent_deg3": find_deg4_adjacent_deg3,
-    "low_degree_edge": find_low_degree_edge,
-    "degree_two_path": find_degree_two_path,
-    "pendant_chain": find_pendant_chain,
-    "small_component": find_small_component,
-    "cycle_component": find_cycle_component,
-}
-
-
-def find_structure(g: Graph, kind: str):
-    """First witness of the requested structure in deterministic (lowest-id) order, or None."""
-    try:
-        finder = _FINDERS[kind]
-    except KeyError:
-        raise ValueError("unknown structure kind %r (known: %s)" % (kind, ", ".join(STRUCTURE_KINDS)))
-    return finder(g)

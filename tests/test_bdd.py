@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from copack.bdd import BddDp, bdd_dp_solve
+from copack.bdd import bdd_dp_solve
 from copack.decomp import PathDecomposition, exact_pathwidth, heuristic_pd, to_nice, validate
 from copack.generators import complete_graph, cycle_graph, path_graph
 from copack.graph import Graph
@@ -33,15 +33,6 @@ def test_recover_examples():
     k14 = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
     size, wit = bdd_dp_solve(k14, events_for(k14), 2)
     assert size == 1 and len(wit) == 1 and verify(k14, wit, "bdd", 2)
-
-
-def test_recover_before_run():
-    g = complete_graph(3)
-    dp = BddDp(g, events_for(g), 2)
-    with pytest.raises(RuntimeError):
-        dp.recover_solution()
-    with pytest.raises(RuntimeError):
-        dp.min_size
 
 
 def test_exhaustive_small_graphs():

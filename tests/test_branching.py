@@ -10,8 +10,7 @@ from copack.branching import (
     reduce_cpp,
     solve_cpcp,
     solve_cpp,
-    _pick_step_cpcp,
-    _pick_step_cpp,
+    _pick_step,
 )
 from copack.errors import DpDisabledError
 from copack.generators import complete_graph, cycle_graph, gnm_graph, path_graph
@@ -189,13 +188,13 @@ def test_branch_sets_are_exhaustive(rng):
         if fired >= 120:
             break
         g = random_graph(t + 12000, n_lo=5, n_hi=8)
-        for problem, pick in (("cpcp", _pick_step_cpcp), ("cpp", _pick_step_cpp)):
+        for problem in ("cpcp", "cpp"):
             inst = inst_of(g, g.alive_count)
             (reduce_cpcp if problem == "cpcp" else reduce_cpp)(inst)
             h = inst.graph
             if h.alive_count == 0:
                 continue
-            bs = pick(h)
+            bs = _pick_step(h, problem)
             if bs is None:
                 continue
             fired += 1
@@ -227,7 +226,7 @@ def test_step4_uncovered_triangle_shape():
     inst = inst_of(g, 9)
     reduce_cpcp(inst)
     assert inst.graph.alive_count == 9  # nothing reducible
-    bs = _pick_step_cpcp(inst.graph)
+    bs = _pick_step(inst.graph, "cpcp")
     assert bs is not None and bs.rule == "step4_dominated_deg2"
     assert sorted(ch.decrement for ch in bs.children) == [1, 2, 2, 2]
     mn = oracle_min(g, "cpcp")
@@ -242,7 +241,7 @@ def test_step4_case11_shape():
     inst = inst_of(g, 9)
     reduce_cpcp(inst)
     assert inst.graph.alive_count == 9
-    bs = _pick_step_cpcp(inst.graph)
+    bs = _pick_step(inst.graph, "cpcp")
     assert bs is not None and bs.rule == "step4_case1.1"
     assert sorted(tuple(sorted(ch.delete)) for ch in bs.children) == [(0,), (1, 4)]
     mn = oracle_min(g, "cpcp")
@@ -262,7 +261,7 @@ def test_step4_case22_and_23_shapes():
     inst = inst_of(g22, 9)
     reduce_cpcp(inst)
     assert inst.graph.alive_count == 9
-    bs = _pick_step_cpcp(inst.graph)
+    bs = _pick_step(inst.graph, "cpcp")
     assert bs.rule == "step4_case2.2"
     assert sorted(ch.decrement for ch in bs.children) == [2] * 7
 
@@ -275,7 +274,7 @@ def test_step4_case22_and_23_shapes():
     inst = inst_of(g23, 9)
     reduce_cpcp(inst)
     assert inst.graph.alive_count == 9
-    bs = _pick_step_cpcp(inst.graph)
+    bs = _pick_step(inst.graph, "cpcp")
     assert bs.rule == "step4_case2.3"
     assert sorted(ch.decrement for ch in bs.children) == [2] * 7 + [3]
 
@@ -298,7 +297,7 @@ def test_step4_case_shapes_cover_random_triangles(rng):
         h = inst.graph
         if h.alive_count == 0:
             continue
-        bs = _pick_step_cpcp(h)
+        bs = _pick_step(h, "cpcp")
         if bs is not None and bs.rule.startswith("step4"):
             hits += 1
     # at least a few random instances exercise the step-4 dispatch
@@ -314,12 +313,12 @@ def test_fired_steps_match_documented_recurrences(rng):
     seen = set()
     for t in range(500):
         g = random_graph(t + 30000, n_lo=5, n_hi=10)
-        for pick in (_pick_step_cpcp, _pick_step_cpp):
+        for problem in ("cpcp", "cpp"):
             inst = inst_of(g, g.alive_count)
-            (reduce_cpcp if pick is _pick_step_cpcp else reduce_cpp)(inst)
+            (reduce_cpcp if problem == "cpcp" else reduce_cpp)(inst)
             if inst.graph.alive_count == 0:
                 continue
-            bs = pick(inst.graph)
+            bs = _pick_step(inst.graph, problem)
             if bs is None:
                 continue
             decs = sorted(ch.decrement for ch in bs.children)
@@ -359,3 +358,22 @@ def test_stats_populated():
     g = gnm_graph(9, 18, seed=2)
     out = solve_cpcp(g, 3)
     assert out.stats.nodes >= 0 and out.stats.reductions >= 0
+
+
+def test_cpcp_search_matches_leaf_dp_past_oracle():
+    """Past the oracle's 14 vertices the search is checked against the
+    deletion DP run on the whole graph over a greedy decomposition: yes at
+    that minimum m, no at m - 1. A low pw_limit keeps the leaves cheap and
+    sends the larger ones to the greedy decomposition too."""
+    from copack.bdd import bdd_dp_solve
+    from copack.decomp import heuristic_pd, to_nice
+    from copack.generators import planted_graph, proper_graph
+
+    graphs = [planted_graph(n, k, seed) for seed in range(4)
+              for n, k in ((20, 3), (25, 4), (30, 5), (35, 6), (40, 6), (40, 3))]
+    graphs += [proper_graph(n, seed) for seed in range(2) for n in range(20, 31)]
+    for g in graphs:
+        m = bdd_dp_solve(g, to_nice(heuristic_pd(g)), 2)[0]
+        out = solve_cpcp(g, m, pw_limit=12)
+        assert out.answer and len(out.witness) == m, (m, g.edges())
+        assert not solve_cpcp(g, m - 1, pw_limit=12).answer, (m, g.edges())

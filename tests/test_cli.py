@@ -150,18 +150,19 @@ def test_main_branch_mode_errors_on_proper_leaf(tmp_path, capsys):
     assert main(["solve", "--problem", "cpcp", "-k", "5", "--mode", "branch", str(f)]) == 2
 
 
-def test_main_internal_error_exits_2(tmp_path, capsys):
-    """A search deeper than the interpreter's stack is an error, not a no."""
+def test_main_internal_error_exits_2(tmp_path, capsys, monkeypatch):
+    """The search depth does not grow the interpreter's stack, and a solver
+    fault is an error, not a no."""
     import sys
 
+    import copack.cli
+    from copack.errors import InternalSolverError
     from copack.graph import Graph
 
     k8s = [(8 * c + i, 8 * c + j) for c in range(40) for i in range(8) for j in range(i + 1, 8)]
     f = tmp_path / "k8s.gr"
     f.write_text(write_graph(Graph.from_edges(320, k8s)))
     argv = ["solve", "--problem", "cpcp", "-k", "240", str(f)]
-    assert main(argv) == 0
-    capsys.readouterr()
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
@@ -171,6 +172,13 @@ def test_main_internal_error_exits_2(tmp_path, capsys):
         code = main(argv)
     finally:
         sys.setrecursionlimit(old)
+    assert code == 0 and "answer=yes" in capsys.readouterr().out
+
+    def broken(*args, **kwargs):
+        raise InternalSolverError("branch decrements [1], expected [2]")
+
+    monkeypatch.setattr(copack.cli, "solve_cpcp", broken)
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -222,3 +230,80 @@ def test_optimize_record_sums_every_decision(tmp_path):
     for field in ("nodes", "reductions", "dp_calls", "repeats", "guard_rejects"):
         assert rec[field] == sum(r[field] for r in per_decision), field
     assert rec["width"] == max(r["width"] for r in per_decision)
+
+
+def test_dp_mode_optimize_record_sums_every_decision(tmp_path):
+    """cpp --mode dp binary-searches; its record sums the DP calls and the
+    cut & count repeats actually run over every decision."""
+    f = tmp_path / "g.gr"
+    g = gnm_graph(16, 34, seed=2)
+    f.write_text(write_graph(g))
+    rec, code = command_solve(RunConfig(problem="cpp", optimize=True, mode="dp"), str(f))
+    assert code == 0
+    per_decision = []
+    lo, hi = 0, g.alive_count
+    while lo < hi:
+        mid = (lo + hi) // 2
+        one, one_code = command_solve(RunConfig(problem="cpp", k=mid, mode="dp"), str(f))
+        per_decision.append(one)
+        assert one["dp_calls"] == 1
+        # a no spends every repeat, a yes stops at the first run that finds it
+        if one_code:
+            assert one["repeats"] == 10
+        else:
+            assert 1 <= one["repeats"] <= 10
+        if one_code == 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    assert rec["min_size"] == lo and len(per_decision) > 1
+    for field in ("dp_calls", "repeats"):
+        assert rec[field] == sum(r[field] for r in per_decision), field
+    assert rec["repeats"] < 10 * len(per_decision)
+    assert rec["width"] == max(r["width"] for r in per_decision) >= 0
+
+
+def test_exact_optimize_solves_once(tmp_path, monkeypatch):
+    """bdd --optimize decomposes and runs the DP once; its minimum and
+    witness are those of the -k runs at the minimum and one below."""
+    import copack.cli
+    from copack.oracles import verify
+
+    f = tmp_path / "g.gr"
+    g = gnm_graph(12, 22, seed=4)
+    f.write_text(write_graph(g))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return decomposition_for(*args, **kwargs)
+
+    decomposition_for = copack.cli.decomposition_for
+    monkeypatch.setattr(copack.cli, "decomposition_for", counted)
+    rec, code = command_solve(RunConfig(problem="bdd", d=1, optimize=True), str(f))
+    assert code == 0 and len(calls) == 1 and rec["dp_calls"] == 1
+    mn = rec["min_size"]
+    wit = {int(v) for v in rec["witness"].split(",")}
+    assert len(wit) == mn and verify(g, wit, "bdd", 1)
+
+    at_min, code = command_solve(RunConfig(problem="bdd", d=1, k=mn), str(f))
+    assert code == 0 and at_min["min_size"] == mn and at_min["witness"] == rec["witness"]
+    below, code = command_solve(RunConfig(problem="bdd", d=1, k=mn - 1), str(f))
+    assert code == 1 and below["min_size"] == mn and "witness" not in below
+
+
+def test_cli_import_leaves_numpy_out():
+    """The package has no runtime dependency: importing the CLI loads no numpy."""
+    import os
+    import subprocess
+    import sys
+
+    import copack
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(copack.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, copack.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

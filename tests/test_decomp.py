@@ -111,6 +111,24 @@ def test_exact_is_lower_bound_of_sampled_decompositions(rng):
             assert cand.width >= w
 
 
+def test_boundary_sizes_match_direct_count(rng):
+    """The packed all-subsets count equals counting, subset by subset, the
+    members with a neighbor outside; isolated vertices included."""
+    from copack.decomp import _boundary_sizes
+
+    for t in range(200):
+        n = rng.randint(0, 9)
+        adj = [0] * n
+        p = rng.random()
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < p:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        want = [sum(1 for i in range(n) if s >> i & 1 and adj[i] & ~s) for s in range(1 << n)]
+        assert _boundary_sizes(adj, n) == want, (n, adj)
+
+
 def test_exact_pathwidth_limit():
     with pytest.raises(SizeLimitError):
         exact_pathwidth(Graph(12), limit=10)

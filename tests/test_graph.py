@@ -1,11 +1,23 @@
 import pytest
 
-from copack.graph import (
-    Graph,
-    STRUCTURE_KINDS,
-    find_structure,
-)
+from copack import graph as graphlib
+from copack.graph import Graph
 from conftest import random_graph
+
+# every structure finder the reductions and branching steps use
+FINDERS = {
+    "degree_ge5": graphlib.find_degree_ge5,
+    "dominating_deg4": graphlib.find_dominating_deg4,
+    "triangle_single_neighbor": graphlib.find_triangle_single_neighbor,
+    "deg4_heavy_triangle": graphlib.find_deg4_heavy_triangle,
+    "deg4_in_triangle": graphlib.find_deg4_in_triangle,
+    "deg4_adjacent_deg3": graphlib.find_deg4_adjacent_deg3,
+    "low_degree_edge": graphlib.find_low_degree_edge,
+    "degree_two_path": graphlib.find_degree_two_path,
+    "pendant_chain": graphlib.find_pendant_chain,
+    "small_component": graphlib.find_small_component,
+    "cycle_component": graphlib.find_cycle_component,
+}
 
 
 def triangle():
@@ -110,18 +122,16 @@ def test_dominates():
 
 def test_find_structure_examples():
     k5 = Graph.from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
-    assert find_structure(k5, "degree_ge5") is None
-    assert find_structure(star(5), "degree_ge5") == (0,)
+    assert FINDERS["degree_ge5"](k5) is None
+    assert FINDERS["degree_ge5"](star(5)) == (0,)
     k4_pendant = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
-    assert find_structure(k4_pendant, "heavy_triangle") is None
-    with pytest.raises(ValueError):
-        find_structure(k5, "no_such_kind")
+    assert FINDERS["deg4_heavy_triangle"](k4_pendant) is None
 
 
 def test_find_structure_determinism():
     g = Graph.from_edges(8, [(0, 1), (0, 2), (1, 2), (5, 6), (5, 7), (6, 7), (2, 3), (6, 3)])
     # two triangles with one outside neighbor each; lowest wins
-    assert find_structure(g, "triangle_single_neighbor") == (0, 1, 2, 3)
+    assert FINDERS["triangle_single_neighbor"](g) == (0, 1, 2, 3)
 
 
 def _brute_witness(g, kind):
@@ -146,8 +156,6 @@ def _brute_witness(g, kind):
     ]
     if kind == "triangle_single_neighbor":
         return any(len(g.neighborhood_of(t)) == 1 for t in tris)
-    if kind == "heavy_triangle":
-        return any(len(g.neighborhood_of(t)) >= 4 for t in tris)
     if kind == "deg4_heavy_triangle":
         return any(
             len(g.neighborhood_of(t)) >= 4 and any(deg[x] == 4 for x in t) for t in tris
@@ -198,12 +206,12 @@ def test_find_structure_matches_bruteforce(rng):
     from conftest import all_graphs
 
     for g in all_graphs(4):
-        for kind in STRUCTURE_KINDS:
-            assert (find_structure(g, kind) is not None) == _brute_witness(g, kind), (kind, g.edges())
+        for kind, find in FINDERS.items():
+            assert (find(g) is not None) == _brute_witness(g, kind), (kind, g.edges())
     for t in range(120):
         g = random_graph(t + 900, n_lo=5, n_hi=8)
-        for kind in STRUCTURE_KINDS:
-            got = find_structure(g, kind)
+        for kind, find in FINDERS.items():
+            got = find(g)
             assert (got is not None) == _brute_witness(g, kind), (t, kind, g.edges())
 
 
