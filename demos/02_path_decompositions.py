@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Path decompositions: exact width by subset DP, a greedy fallback, the
-introduce/forget event form every DP consumes, and the text format."""
+"""Path decompositions: exact width by a width-bounded layout search, a
+greedy fallback, the introduce/forget event form every DP consumes, and the
+text format."""
 
 from copack import (
     exact_pathwidth,

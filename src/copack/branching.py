@@ -430,9 +430,8 @@ def cpp_leaf(g: Graph, k: int, events, repeats: int, seed: int, stats: SolveStat
 
 
 class _Driver:
-    def __init__(self, problem: str, pw_limit: int, dp_allowed: bool, repeats: int = 0, seed: int = 0):
+    def __init__(self, problem: str, dp_allowed: bool, repeats: int = 0, seed: int = 0):
         self.problem = problem
-        self.pw_limit = pw_limit
         self.dp_allowed = dp_allowed
         self.repeats = repeats
         self.seed = seed
@@ -473,7 +472,7 @@ class _Driver:
         if not guard.ok:
             self.stats.guard_rejects += 1
             return False, None
-        pd = decomp.decomposition_for(g, self.pw_limit)
+        pd = decomp.decomposition_for(g)
         events = decomp.to_nice(pd)
         self.stats.dp_calls += 1
         self.stats.dp_width = max(self.stats.dp_width, events.width)
@@ -487,11 +486,10 @@ class _Driver:
         return cpp_leaf(g, inst.k, events, self.repeats, leaf_seed, self.stats), None
 
 
-def solve_cpcp(g: Graph, k: int, pw_limit: int = decomp.EXACT_PATHWIDTH_LIMIT,
-               dp_allowed: bool = True) -> SolveOutcome:
+def solve_cpcp(g: Graph, k: int, dp_allowed: bool = True) -> SolveOutcome:
     """Decide whether deleting at most k vertices leaves maximum degree <= 2;
     on yes, return a verifying deletion set of size <= k."""
-    driver = _Driver("cpcp", pw_limit, dp_allowed)
+    driver = _Driver("cpcp", dp_allowed)
     if k < 0:
         return SolveOutcome(False, None, driver.stats)
     ans, wit = driver.run(Instance(g.copy(), k, set()))
@@ -503,14 +501,13 @@ def solve_cpcp(g: Graph, k: int, pw_limit: int = decomp.EXACT_PATHWIDTH_LIMIT,
 
 
 def solve_cpp(g: Graph, k: int, repeats: int = 10, seed: int = 0,
-              pw_limit: int = decomp.EXACT_PATHWIDTH_LIMIT,
               dp_allowed: bool = True) -> SolveOutcome:
     """Decide whether deleting at most k vertices leaves disjoint paths.
 
     Decision only. A yes is always correct; a no is wrong with probability at
     most (1/3)^repeats per cut & count leaf on yes-instances.
     """
-    driver = _Driver("cpp", pw_limit, dp_allowed, repeats=repeats, seed=seed)
+    driver = _Driver("cpp", dp_allowed, repeats=repeats, seed=seed)
     if k < 0:
         return SolveOutcome(False, None, driver.stats)
     ans, _ = driver.run(Instance(g.copy(), k, set()))

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from . import generators
 from .bdd import bdd_dp_solve
 from .branching import SolveStats, cpp_leaf, solve_cpcp, solve_cpp
-from .decomp import (
-    EXACT_PATHWIDTH_LIMIT,
-    decomposition_for,
-    parse_decomposition,
-    to_nice,
-    validate,
-)
+from .decomp import decomposition_for, parse_decomposition, to_nice, validate
 from .dimacs import parse_graph, write_graph
 from .errors import DpDisabledError, GraphFormatError, SizeLimitError
 from .graph import Graph
@@ -41,7 +35,6 @@ class RunConfig:
     mode: str = "auto"  # auto | branch | dp | oracle
     seed: int = 0
     repeats: int = 10
-    pw_limit: int = EXACT_PATHWIDTH_LIMIT
     decomposition: str | None = None
 
     def validate(self):
@@ -104,7 +97,7 @@ def _events_for(g: Graph, cfg: RunConfig):
         if bad is not None:
             raise ValueError("supplied decomposition invalid: %s" % bad.message)
     else:
-        pd = decomposition_for(g, cfg.pw_limit)
+        pd = decomposition_for(g)
     return to_nice(pd)
 
 
@@ -113,14 +106,14 @@ def _exact(cfg: RunConfig) -> bool:
     return cfg.mode == "oracle" or cfg.problem == "bdd" or (cfg.mode, cfg.problem) == ("dp", "cpcp")
 
 
-def _solve_decision(g: Graph, k: int, cfg: RunConfig, stats: SolveStats):
+def _solve_decision(g: Graph, k: int, cfg: RunConfig, stats: SolveStats, events):
     """One solve at budget k, counted into stats: (answer, witness or None,
-    the minimum on the exact routes or None)."""
+    the minimum on the exact routes or None). Given events, the graph's
+    decomposition, the leaf DP runs on the whole graph."""
     if cfg.mode == "oracle":
         mn = oracle_min(g, cfg.problem, cfg.d)
         return k >= mn, None, mn
-    if cfg.mode == "dp" or cfg.problem == "bdd":
-        events = _events_for(g, cfg)
+    if events is not None:
         stats.dp_calls += 1
         stats.dp_width = max(stats.dp_width, events.width)
         if cfg.problem == "cpp":
@@ -129,9 +122,9 @@ def _solve_decision(g: Graph, k: int, cfg: RunConfig, stats: SolveStats):
         return mn <= k, (wit if mn <= k else None), mn
     dp_allowed = cfg.mode != "branch"
     if cfg.problem == "cpcp":
-        out = solve_cpcp(g, k, cfg.pw_limit, dp_allowed=dp_allowed)
+        out = solve_cpcp(g, k, dp_allowed=dp_allowed)
     else:
-        out = solve_cpp(g, k, cfg.repeats, cfg.seed, cfg.pw_limit, dp_allowed=dp_allowed)
+        out = solve_cpp(g, k, cfg.repeats, cfg.seed, dp_allowed=dp_allowed)
     stats.add(out.stats)
     return out.answer, out.witness, None
 
@@ -146,6 +139,9 @@ def command_solve(cfg: RunConfig, path: str):
         record["d"] = cfg.d
     start = time.monotonic()
     stats = SolveStats()
+    # the whole-graph DP routes decompose once for every decision
+    whole_dp = cfg.mode == "dp" or (cfg.problem == "bdd" and cfg.mode != "oracle")
+    events = _events_for(g, cfg) if whole_dp else None
     calls = None  # decisions a binary search made
     if cfg.optimize and not _exact(cfg):
         # decision-only routes binary-search the minimum
@@ -155,19 +151,19 @@ def command_solve(cfg: RunConfig, path: str):
         while lo < hi:
             mid = (lo + hi) // 2
             calls += 1
-            ans, wit, _ = _solve_decision(g, mid, cfg, stats)
+            ans, wit, _ = _solve_decision(g, mid, cfg, stats, events)
             if ans:
                 hi = mid
                 witness = wit
             else:
                 lo = mid + 1
         if witness is None and cfg.problem == "cpcp":
-            _, witness, _ = _solve_decision(g, lo, cfg, stats)
+            _, witness, _ = _solve_decision(g, lo, cfg, stats, events)
         ans, mn = True, lo
     else:
         if not cfg.optimize:
             record["k"] = cfg.k
-        ans, witness, mn = _solve_decision(g, g.alive_count if cfg.optimize else cfg.k, cfg, stats)
+        ans, witness, mn = _solve_decision(g, g.alive_count if cfg.optimize else cfg.k, cfg, stats, events)
     record["answer"] = "yes" if ans else "no"
     if mn is not None:
         record["min_size"] = mn
@@ -228,7 +224,6 @@ def main(argv=None) -> int:
     ps.add_argument("--mode", choices=("auto", "branch", "dp", "oracle"), default="auto")
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--repeats", type=int, default=10)
-    ps.add_argument("--pw-limit", type=int, default=EXACT_PATHWIDTH_LIMIT)
     ps.add_argument("--decomposition", default=None, help="decomposition file to use as-is")
 
     pg = sub.add_parser("gen", help="emit a generated instance")
@@ -251,7 +246,6 @@ def main(argv=None) -> int:
                 mode=args.mode,
                 seed=args.seed,
                 repeats=args.repeats,
-                pw_limit=args.pw_limit,
                 decomposition=args.decomposition,
             )
             record, code = command_solve(cfg, args.graph)

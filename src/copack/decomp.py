@@ -132,96 +132,75 @@ def validate_events(g: Graph, ev: NiceEventSequence):
 #
 # Pathwidth equals the vertex separation number: minimize, over vertex
 # layouts, the maximum number of placed vertices that still have an
-# unplaced neighbor. h(S) below is the best achievable maximum over all
-# completions of the prefix set S; boundary sizes come from a bytewise
-# precomputation over all subsets at once.
+# unplaced neighbor (the boundary). The search starts from the identity
+# layout and asks, width by width, for a layout whose every prefix has a
+# smaller boundary. Only prefix sets within that bound are visited, so the
+# cost grows with the width rather than with 2^n.
 
 
-def _boundary_sizes(adj_masks: list[int], n: int) -> list[int]:
-    """b[S] for every subset S: how many vertices of S have a neighbor outside S.
+def _separated_layout(adj_masks: list[int], cap: int, dead: set[int]):
+    """Vertex indices in the first layout, in index order, whose every prefix
+    has at most cap boundary vertices, or None.
 
-    Works on all 2^n subsets at once, one byte per subset packed into a big
-    int: lane i holds a 1 in byte S iff i is in S, so i counts for S iff its
-    own lane is set and the AND of its neighbors' lanes is not. Counts stay
-    below 256 because n is at most EXACT_PATHWIDTH_LIMIT.
+    dead holds prefix sets from which no such completion exists; a set dead
+    at one cap is dead at every smaller one, so callers may share it.
     """
-    size = 1 << n
-    lanes = [int.from_bytes((bytes(1 << i) + b"\x01" * (1 << i)) * (size >> (i + 1)), "little")
-             for i in range(n)]
-    total = 0
-    for i, am in enumerate(adj_masks):
-        if not am:
-            continue
-        all_inside = lanes[i]
-        for j in range(n):
-            if am >> j & 1:
-                all_inside &= lanes[j]
-        total += lanes[i] - all_inside  # all_inside only keeps bytes of lane i
-    del lanes  # n * 2^n bytes; free them before the list is built
-    return list(total.to_bytes(size, "little"))
+    n = len(adj_masks)
+    full = (1 << n) - 1
+    order: list[int] = []
+
+    def extend(placed: int, boundary: int) -> bool:
+        if placed == full:
+            return True
+        rest = full ^ placed
+        free = rest
+        while free:
+            bit = free & -free
+            free ^= bit
+            t = placed | bit
+            if t in dead:
+                continue
+            outside = rest ^ bit
+            v = bit.bit_length() - 1
+            nb = boundary | bit if adj_masks[v] & outside else boundary
+            # members whose last outside neighbor was v leave the boundary
+            m = boundary & adj_masks[v]
+            while m:
+                low = m & -m
+                m ^= low
+                if not adj_masks[low.bit_length() - 1] & outside:
+                    nb ^= low
+            if nb.bit_count() > cap:
+                continue
+            order.append(v)
+            if extend(t, nb):
+                return True
+            order.pop()
+        dead.add(placed)
+        return False
+
+    return order if extend(0, 0) else None
 
 
 def exact_pathwidth(g: Graph, limit: int = EXACT_PATHWIDTH_LIMIT):
-    """(pathwidth, optimal decomposition) by subset DP; exponential in alive count."""
+    """(pathwidth, optimal decomposition) by a width-bounded layout search,
+    whose cost grows with the width."""
     verts = g.vertices()
     n = len(verts)
     if n > limit:
         raise SizeLimitError("exact pathwidth limited to %d vertices, got %d" % (limit, n))
-    if n == 0:
-        return -1, PathDecomposition([])
     pos = {v: i for i, v in enumerate(verts)}
-    adj_masks = [0] * n
-    for v in verts:
-        m = 0
-        for u in g._adj[v]:
-            m |= 1 << pos[u]
-        adj_masks[pos[v]] = m
-    full = (1 << n) - 1
-    b = _boundary_sizes(adj_masks, n)
-
-    h = [0] * (1 << n)
-    for smask in range(full - 1, -1, -1):
-        rem = full ^ smask
-        best = n + 1
-        mm = rem
-        while mm:
-            bit = mm & -mm
-            mm ^= bit
-            t = smask | bit
-            cand = b[t]
-            if h[t] > cand:
-                cand = h[t]
-            if cand < best:
-                best = cand
-        h[smask] = best
-    width = h[0]
-
-    # lexicographically smallest optimal layout
-    order = []
-    smask = 0
-    for _ in range(n):
-        target = h[smask]
-        for i in range(n):
-            bit = 1 << i
-            if smask & bit:
-                continue
-            t = smask | bit
-            if max(b[t], h[t]) == target:
-                order.append(i)
-                smask = t
-                break
-    assert len(order) == n
-
-    bags = []
-    pm = 0
-    for i in order:
-        bag = {verts[j] for j in range(n) if (pm >> j) & 1 and adj_masks[j] & (full ^ pm)}
-        bag.add(verts[i])
-        bags.append(bag)
-        pm |= 1 << i
-    pd = PathDecomposition(bags).normalized()
-    assert pd.width == width
-    return width, pd
+    adj_masks = [sum(1 << pos[u] for u in g._adj[v]) for v in verts]
+    pd = _layout_to_decomposition(g, verts)
+    # pathwidth >= treewidth >= minimum degree
+    lower = min((len(g._adj[v]) for v in verts), default=0)
+    dead: set[int] = set()
+    while pd.width > lower:
+        order = _separated_layout(adj_masks, pd.width - 1, dead)
+        if order is None:
+            break
+        pd = _layout_to_decomposition(g, [verts[i] for i in order])
+    return pd.width, pd
 
 
 def _layout_to_decomposition(g: Graph, order: list[int]) -> PathDecomposition:
@@ -260,10 +239,11 @@ def heuristic_pd(g: Graph) -> PathDecomposition:
     return _layout_to_decomposition(g, order)
 
 
-def decomposition_for(g: Graph, pw_limit: int = EXACT_PATHWIDTH_LIMIT) -> PathDecomposition:
-    """Best decomposition we can afford: exact below the limit, greedy above."""
-    if g.alive_count <= pw_limit:
-        return exact_pathwidth(g, pw_limit)[1]
+def decomposition_for(g: Graph) -> PathDecomposition:
+    """Best decomposition we can afford: exact up to EXACT_PATHWIDTH_LIMIT
+    alive vertices, greedy above."""
+    if g.alive_count <= EXACT_PATHWIDTH_LIMIT:
+        return exact_pathwidth(g)[1]
     return heuristic_pd(g)
 
 

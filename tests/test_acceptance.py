@@ -308,7 +308,7 @@ def test_criterion_10_scale_smoke():
     for k in range(4, 11):
         for s in range(3):
             g = planted_graph(16 + k, k, seed=1000 * k + s)
-            out = solve_cpcp(g, k, pw_limit=12)
+            out = solve_cpcp(g, k)
             assert out.answer
             worst[k] = max(worst.get(k, 0), out.stats.nodes)
             dp_routed += out.stats.dp_calls

@@ -363,8 +363,8 @@ def test_stats_populated():
 def test_cpcp_search_matches_leaf_dp_past_oracle():
     """Past the oracle's 14 vertices the search is checked against the
     deletion DP run on the whole graph over a greedy decomposition: yes at
-    that minimum m, no at m - 1. A low pw_limit keeps the leaves cheap and
-    sends the larger ones to the greedy decomposition too."""
+    that minimum m, no at m - 1. Leaves of more than 22 vertices take the
+    greedy decomposition too."""
     from copack.bdd import bdd_dp_solve
     from copack.decomp import heuristic_pd, to_nice
     from copack.generators import planted_graph, proper_graph
@@ -374,6 +374,6 @@ def test_cpcp_search_matches_leaf_dp_past_oracle():
     graphs += [proper_graph(n, seed) for seed in range(2) for n in range(20, 31)]
     for g in graphs:
         m = bdd_dp_solve(g, to_nice(heuristic_pd(g)), 2)[0]
-        out = solve_cpcp(g, m, pw_limit=12)
+        out = solve_cpcp(g, m)
         assert out.answer and len(out.witness) == m, (m, g.edges())
-        assert not solve_cpcp(g, m - 1, pw_limit=12).answer, (m, g.edges())
+        assert not solve_cpcp(g, m - 1).answer, (m, g.edges())

@@ -232,14 +232,25 @@ def test_optimize_record_sums_every_decision(tmp_path):
     assert rec["width"] == max(r["width"] for r in per_decision)
 
 
-def test_dp_mode_optimize_record_sums_every_decision(tmp_path):
-    """cpp --mode dp binary-searches; its record sums the DP calls and the
-    cut & count repeats actually run over every decision."""
+def test_dp_mode_optimize_record_sums_every_decision(tmp_path, monkeypatch):
+    """cpp --mode dp binary-searches over one decomposition; its record sums
+    the DP calls and the cut & count repeats actually run over every decision."""
+    import copack.cli
+
     f = tmp_path / "g.gr"
     g = gnm_graph(16, 34, seed=2)
     f.write_text(write_graph(g))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return decomposition_for(*args, **kwargs)
+
+    decomposition_for = copack.cli.decomposition_for
+    monkeypatch.setattr(copack.cli, "decomposition_for", counted)
     rec, code = command_solve(RunConfig(problem="cpp", optimize=True, mode="dp"), str(f))
-    assert code == 0
+    assert code == 0 and len(calls) == 1
+    assert (rec["dp_calls"], rec["repeats"], rec["width"]) == (4, 22, 6)
     per_decision = []
     lo, hi = 0, g.alive_count
     while lo < hi:

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -18,7 +19,7 @@ from copack.decomp import (
 from copack.errors import GraphFormatError, SizeLimitError
 from copack.generators import cycle_graph, grid_graph, path_graph, complete_graph, proper_graph
 from copack.graph import Graph
-from conftest import random_graph
+from conftest import all_graphs, random_graph
 
 
 def test_validate_examples():
@@ -111,22 +112,39 @@ def test_exact_is_lower_bound_of_sampled_decompositions(rng):
             assert cand.width >= w
 
 
-def test_boundary_sizes_match_direct_count(rng):
-    """The packed all-subsets count equals counting, subset by subset, the
-    members with a neighbor outside; isolated vertices included."""
-    from copack.decomp import _boundary_sizes
+def _min_vertex_separation(g):
+    """Pathwidth by brute force: the smallest, over every vertex order, of the
+    largest number of placed vertices with an unplaced neighbor."""
+    verts = g.vertices()
+    boundary = {}  # placed set -> its count
 
-    for t in range(200):
-        n = rng.randint(0, 9)
-        adj = [0] * n
-        p = rng.random()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < p:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        want = [sum(1 for i in range(n) if s >> i & 1 and adj[i] & ~s) for s in range(1 << n)]
-        assert _boundary_sizes(adj, n) == want, (n, adj)
+    def count(placed):
+        if placed not in boundary:
+            boundary[placed] = sum(1 for u in placed if g.neighbors(u) - placed)
+        return boundary[placed]
+
+    best = len(verts) - 1  # -1 for the empty graph
+    for order in permutations(verts):
+        best = min(best, max(count(frozenset(order[:i])) for i in range(len(order) + 1)))
+    return best
+
+
+def test_exact_pathwidth_matches_every_order():
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    graphs += [random_graph(t + 2000, n_lo=6, n_hi=7) for t in range(100)]
+    for g in graphs:
+        w, pd = exact_pathwidth(g)
+        assert w == _min_vertex_separation(g), g.edges()
+        assert validate(g, pd) is None and pd.width == w and to_nice(pd).width == w
+
+
+def test_exact_pathwidth_on_proper_graphs():
+    for n in range(14, 23):
+        for s in range(4):
+            g = proper_graph(n, s)
+            w, pd = exact_pathwidth(g)
+            assert validate(g, pd) is None and pd.width == w
+            assert w <= heuristic_pd(g).width
 
 
 def test_exact_pathwidth_limit():
