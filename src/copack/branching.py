@@ -15,7 +15,7 @@ from . import cutcount, decomp, graph as graphlib
 from .bdd import bdd_dp_solve
 from .errors import DpDisabledError, InternalSolverError
 from .graph import Graph
-from .oracles import verify
+from .oracles import min_deletion_set, verify
 
 
 @dataclass
@@ -119,57 +119,6 @@ def branch_b2(g: Graph, v: int, u: int) -> BranchSet:
 # ------------------------------------------------------------------ reductions
 
 
-def _component_min_deletions(g: Graph, comp, acyclic: bool) -> tuple[int, ...]:
-    """Smallest deletion set inside a component (<= 6 vertices, all 2^c masks)."""
-    verts = sorted(comp)
-    c = len(verts)
-    adj = [0] * c
-    idx = {v: i for i, v in enumerate(verts)}
-    for v in verts:
-        for u in g._adj[v]:
-            adj[idx[v]] |= 1 << idx[u]
-    full = (1 << c) - 1
-    best_mask, best_size = full, c
-    for mask in range(1 << c):
-        size = mask.bit_count()
-        if size >= best_size:
-            continue
-        keep = full ^ mask
-        ok = True
-        edges = 0
-        for i in range(c):
-            if not (keep >> i) & 1:
-                continue
-            deg = (adj[i] & keep).bit_count()
-            if deg > 2:
-                ok = False
-                break
-            edges += deg
-        if ok and acyclic:
-            edges //= 2
-            seen = 0
-            comps = 0
-            for i in range(c):
-                bit = 1 << i
-                if not keep & bit or seen & bit:
-                    continue
-                comps += 1
-                stack = [i]
-                seen |= bit
-                while stack:
-                    x = stack.pop()
-                    avail = adj[x] & keep & ~seen
-                    while avail:
-                        nb = avail & -avail
-                        avail ^= nb
-                        seen |= nb
-                        stack.append(nb.bit_length() - 1)
-            ok = edges == keep.bit_count() - comps
-        if ok:
-            best_mask, best_size = mask, size
-    return tuple(verts[i] for i in range(c) if (best_mask >> i) & 1)
-
-
 def _delete(inst: Instance, removed, deleted):
     """Remove `removed` from the graph, of which `deleted` go into the solution."""
     inst.graph.remove_vertices(removed)
@@ -183,13 +132,10 @@ def _smooth(inst: Instance, a: int, mid: int, b: int):
     inst.graph.add_edge(a, b)
 
 
-# Reduction rules per problem, in firing order: (finder, action on the
+# Local reduction rules per problem, in firing order: (finder, action on the
 # instance given the finder's witness).
 _REDUCTIONS = {
     "cpcp": (
-        # brute-force small components
-        (graphlib.find_small_component, lambda inst, comp: _delete(
-            inst, comp, _component_min_deletions(inst.graph, comp, acyclic=False))),
         # drop edges joining two degree-<=2 vertices
         (graphlib.find_low_degree_edge, lambda inst, edge: inst.graph.remove_edge(*edge)),
         # a triangle with a single outside neighbor x: delete x, and the
@@ -197,8 +143,6 @@ _REDUCTIONS = {
         (graphlib.find_triangle_single_neighbor, lambda inst, tri: _delete(inst, tri, tri[3:])),
     ),
     "cpp": (
-        (graphlib.find_small_component, lambda inst, comp: _delete(
-            inst, comp, _component_min_deletions(inst.graph, comp, acyclic=True))),
         # contract one interior vertex out of any all-degree-2 path with >= 3
         # interior vertices
         (graphlib.find_degree_two_path, lambda inst, path: _smooth(inst, *path[1:4])),
@@ -206,36 +150,54 @@ _REDUCTIONS = {
         # nothing or exactly the vertex next to its anchor, so dropping c1
         # preserves the answer just like the long-path contraction
         (graphlib.find_pendant_chain, lambda inst, chain: _smooth(inst, *chain)),
-        # pure cycle components cost exactly one deletion and no other rule
-        # ever reaches them
-        (graphlib.find_cycle_component, lambda inst, cyc: _delete(inst, cyc[:1], cyc[:1])),
     ),
 }
 
 
-def _reduce(inst: Instance, rules, stats: SolveStats | None) -> Instance:
-    """Fire the first applicable rule until none applies or the budget runs out."""
+def _delete_trivial_components(inst: Instance, acyclic: bool, stats: SolveStats):
+    """Delete every small or cycle component at its minimum cost: subset
+    enumeration up to TRIVIAL_COMPONENT_SIZE vertices; a longer cycle costs
+    one deletion for co-path packing and none for co-path/cycle packing."""
+    for comp in graphlib.find_trivial_components(inst.graph) or ():
+        if len(comp) <= graphlib.TRIVIAL_COMPONENT_SIZE:
+            cut = min_deletion_set(inst.graph, comp, 2, acyclic)
+        else:
+            cut = comp[:1] if acyclic else ()
+        _delete(inst, comp, cut)
+        stats.reductions += 1
+
+
+def _reduce(inst: Instance, problem: str, stats: SolveStats) -> Instance:
+    """Delete the trivial components, fire the first applicable local rule
+    until none applies or the budget runs out, then delete the components it
+    left trivial. A local rule acts inside one component and only shrinks it,
+    so this is the fixpoint that deletes trivial components as they appear."""
+    acyclic = problem == "cpp"
+    _delete_trivial_components(inst, acyclic, stats)
+    fired = False
     while not inst.exhausted:
-        for find, act in rules:
+        for find, act in _REDUCTIONS[problem]:
             found = find(inst.graph)
             if found is not None:
                 act(inst, found)
-                if stats is not None:
-                    stats.reductions += 1
+                stats.reductions += 1
+                fired = True
                 break
         else:
             break
+    if fired:
+        _delete_trivial_components(inst, acyclic, stats)
     return inst
 
 
 def reduce_cpcp(inst: Instance, stats: SolveStats | None = None) -> Instance:
     """Fixpoint of the co-path/cycle packing reductions, in place."""
-    return _reduce(inst, _REDUCTIONS["cpcp"], stats)
+    return _reduce(inst, "cpcp", stats or SolveStats())
 
 
 def reduce_cpp(inst: Instance, stats: SolveStats | None = None) -> Instance:
     """Fixpoint of the co-path packing reductions, in place."""
-    return _reduce(inst, _REDUCTIONS["cpp"], stats)
+    return _reduce(inst, "cpp", stats or SolveStats())
 
 
 # ------------------------------------------------------------------- steps
@@ -298,7 +260,7 @@ def step4_children(g: Graph, v: int, u1: int, u2: int) -> BranchSet:
         if (da, db) == (4, 4):
             if u3 not in g._adj[u2]:
                 raise InternalSolverError(
-                    "closed six-vertex component survived the small-component rule"
+                    "closed six-vertex component survived the trivial-component pass"
                 )
             raise InternalSolverError("degree-4 partner dominated; the domination step must fire first")
         raise InternalSolverError("partner degrees (%d, %d) are impossible here" % (da, db))

@@ -138,12 +138,12 @@ def validate_events(g: Graph, ev: NiceEventSequence):
 # cost grows with the width rather than with 2^n.
 
 
-def _separated_layout(adj_masks: list[int], cap: int, dead: set[int]):
+def _separated_layout(adj_masks: list[int], cap: int, dead: bytearray):
     """Vertex indices in the first layout, in index order, whose every prefix
     has at most cap boundary vertices, or None.
 
-    dead holds prefix sets from which no such completion exists; a set dead
-    at one cap is dead at every smaller one, so callers may share it.
+    dead[s] is set for prefix sets s from which no such completion exists; a
+    set dead at one cap is dead at every smaller one, so callers may share it.
     """
     n = len(adj_masks)
     full = (1 << n) - 1
@@ -158,7 +158,7 @@ def _separated_layout(adj_masks: list[int], cap: int, dead: set[int]):
             bit = free & -free
             free ^= bit
             t = placed | bit
-            if t in dead:
+            if dead[t]:
                 continue
             outside = rest ^ bit
             v = bit.bit_length() - 1
@@ -176,7 +176,7 @@ def _separated_layout(adj_masks: list[int], cap: int, dead: set[int]):
             if extend(t, nb):
                 return True
             order.pop()
-        dead.add(placed)
+        dead[placed] = 1
         return False
 
     return order if extend(0, 0) else None
@@ -194,7 +194,7 @@ def exact_pathwidth(g: Graph, limit: int = EXACT_PATHWIDTH_LIMIT):
     pd = _layout_to_decomposition(g, verts)
     # pathwidth >= treewidth >= minimum degree
     lower = min((len(g._adj[v]) for v in verts), default=0)
-    dead: set[int] = set()
+    dead = bytearray(1 << n)
     while pd.width > lower:
         order = _separated_layout(adj_masks, pd.width - 1, dead)
         if order is None:

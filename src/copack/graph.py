@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
+# Components up to this size are solved outright by subset enumeration; the
+# step-4 shape analysis relies on no closed six-vertex component surviving.
+TRIVIAL_COMPONENT_SIZE = 6
+
 
 class Graph:
     """Simple undirected graph on vertex ids 0..size-1.
@@ -313,16 +317,11 @@ def find_pendant_chain(g: Graph):
     return None
 
 
-def find_small_component(g: Graph, limit: int = 6):
-    for comp in g.components():
-        if len(comp) <= limit:
-            return tuple(comp)
-    return None
-
-
-def find_cycle_component(g: Graph):
-    """Component inducing a single cycle (every vertex has degree exactly 2)."""
-    for comp in g.components():
-        if len(comp) >= 3 and all(len(g._adj[v]) == 2 for v in comp):
-            return tuple(comp)
-    return None
+def find_trivial_components(g: Graph):
+    """Every component with at most TRIVIAL_COMPONENT_SIZE vertices or in which
+    every vertex has degree 2 (a cycle), or None if there is none."""
+    found = [
+        tuple(comp) for comp in g.components()
+        if len(comp) <= TRIVIAL_COMPONENT_SIZE or all(len(g._adj[v]) == 2 for v in comp)
+    ]
+    return found or None

@@ -43,12 +43,13 @@ def verify(g: Graph, s, problem: str, d: int | None = None) -> bool:
     return True
 
 
-def _subset_ok(adj_bits: list[int], keep_mask: int, nverts: int, bound: int, acyclic: bool) -> bool:
+def _subset_ok(adj_bits: list[int], keep_mask: int, bound: int, acyclic: bool) -> bool:
     edges = 0
-    for i in range(nverts):
-        if not (keep_mask >> i) & 1:
-            continue
-        deg = (adj_bits[i] & keep_mask).bit_count()
+    rest = keep_mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        deg = (adj_bits[low.bit_length() - 1] & keep_mask).bit_count()
         if deg > bound:
             return False
         edges += deg
@@ -58,12 +59,11 @@ def _subset_ok(adj_bits: list[int], keep_mask: int, nverts: int, bound: int, acy
     # forest iff edge count equals kept vertices minus component count
     seen = 0
     comps = 0
-    for i in range(nverts):
-        bit = 1 << i
-        if not keep_mask & bit or seen & bit:
-            continue
+    rest = keep_mask
+    while rest:
+        bit = rest & -rest
         comps += 1
-        stack = [i]
+        stack = [bit.bit_length() - 1]
         seen |= bit
         while stack:
             x = stack.pop()
@@ -73,8 +73,30 @@ def _subset_ok(adj_bits: list[int], keep_mask: int, nverts: int, bound: int, acy
                 avail ^= nb
                 seen |= nb
                 stack.append(nb.bit_length() - 1)
-    kept = keep_mask.bit_count()
-    return edges == kept - comps
+        rest = keep_mask & ~seen
+    return edges == keep_mask.bit_count() - comps
+
+
+def min_deletion_set(g: Graph, verts, bound: int, acyclic: bool) -> tuple:
+    """Smallest set of vertices inside verts whose deletion leaves the rest of
+    verts with degree <= bound (and no cycle if acyclic), found by subset
+    enumeration in increasing size. verts must be closed under adjacency."""
+    verts = sorted(verts)
+    n = len(verts)
+    pos = {v: i for i, v in enumerate(verts)}
+    adj_bits = [0] * n
+    for v in verts:
+        for u in g._adj[v]:
+            adj_bits[pos[v]] |= 1 << pos[u]
+    full = (1 << n) - 1
+    for size in range(n + 1):
+        for combo in combinations(range(n), size):
+            del_mask = 0
+            for i in combo:
+                del_mask |= 1 << i
+            if _subset_ok(adj_bits, full ^ del_mask, bound, acyclic):
+                return tuple(verts[i] for i in combo)
+    raise AssertionError("unreachable: deleting all vertices always qualifies")
 
 
 def oracle_min(g: Graph, problem: str, d: int | None = None, limit: int = ORACLE_LIMIT) -> int:
@@ -93,20 +115,7 @@ def oracle_min(g: Graph, problem: str, d: int | None = None, limit: int = ORACLE
         bound, acyclic = 2, True
     else:
         raise ValueError("unknown problem %r" % (problem,))
-    pos = {v: i for i, v in enumerate(verts)}
-    adj_bits = [0] * n
-    for v in verts:
-        for u in g._adj[v]:
-            adj_bits[pos[v]] |= 1 << pos[u]
-    full = (1 << n) - 1
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            del_mask = 0
-            for i in combo:
-                del_mask |= 1 << i
-            if _subset_ok(adj_bits, full ^ del_mask, n, bound, acyclic):
-                return size
-    raise AssertionError("unreachable: deleting all vertices always qualifies")
+    return len(min_deletion_set(g, verts, bound, acyclic))
 
 
 def oracle_decide(g: Graph, k: int, problem: str, d: int | None = None, limit: int = ORACLE_LIMIT) -> bool:

@@ -17,8 +17,8 @@ from copack.graph import (
     Graph,
     find_degree_two_path,
     find_low_degree_edge,
-    find_small_component,
     find_triangle_single_neighbor,
+    find_trivial_components,
 )
 from copack.bdd import bdd_dp_solve
 from copack.oracles import (
@@ -269,7 +269,8 @@ def test_criterion_09_reduction_rule_soundness():
             m = rng.randint(n, min(2 * n, n * (n - 1) // 2))
             g = random_gnm(n, m, 9700 + trial)
 
-        comp = find_small_component(g)
+        comps = find_trivial_components(g)
+        comp = comps[0] if comps else None
         if comp is not None and len(comp) < g.alive_count and fired["rr1"] < 300:
             fired["rr1"] += 1
             rest = g.without_vertices(comp)

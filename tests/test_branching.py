@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from copack import graph as graphlib
 from copack.branching import (
+    _REDUCTIONS,
     Instance,
     branch_b1,
     branch_b2,
@@ -13,7 +15,7 @@ from copack.branching import (
     _pick_step,
 )
 from copack.errors import DpDisabledError
-from copack.generators import complete_graph, cycle_graph, gnm_graph, path_graph
+from copack.generators import complete_graph, cycle_graph, gnm_graph, path_graph, planted_graph
 from copack.graph import Graph, find_pendant_chain, find_degree_two_path, find_low_degree_edge, find_triangle_single_neighbor
 from copack.oracles import oracle_min, verify
 from conftest import random_graph
@@ -123,7 +125,7 @@ def test_reduce_cpp_examples():
     inst = inst_of(cycle_graph(6), 1)
     reduce_cpp(inst)
     assert inst.graph.alive_count == 0 and inst.k == 0 and len(inst.deleted) == 1
-    # long cycle goes through the cycle-component rule
+    # a long cycle costs one deletion in the component pass
     inst = inst_of(cycle_graph(9), 3)
     reduce_cpp(inst)
     assert inst.graph.alive_count == 0 and inst.k == 2
@@ -133,6 +135,75 @@ def test_reduce_budget_exhaustion_marker():
     inst = inst_of(complete_graph(4), 0)
     reduce_cpcp(inst)
     assert inst.exhausted
+
+
+def _reference_reduce(inst, problem):
+    """Component rule first, one component per firing at its oracle minimum
+    (a long cycle costs 1 for cpp, 0 for cpcp), then the local rules; restart
+    from the top after every firing."""
+    g = inst.graph
+    while not inst.exhausted:
+        comps = graphlib.find_trivial_components(g)
+        if comps:
+            comp = comps[0]
+            if len(comp) <= 6:
+                cost = oracle_min(g.without_vertices(set(g.vertices()) - set(comp)), problem)
+            else:
+                cost = int(problem == "cpp")
+            g.remove_vertices(comp)
+            inst.k -= cost
+            continue
+        for find, act in _REDUCTIONS[problem]:
+            found = find(g)
+            if found is not None:
+                act(inst, found)
+                break
+        else:
+            break
+
+
+def test_reduce_matches_component_first_reference():
+    rng = random.Random(4242)
+    checked = 0
+    for t in range(660):
+        family = t % 3
+        if family == 0:
+            g = planted_graph(rng.randint(10, 60), rng.randint(1, 8), seed=t)
+        elif family == 1:
+            n = rng.randint(6, 30)
+            g = gnm_graph(n, rng.randint(0, min(3 * n, n * (n - 1) // 2)), seed=t)
+        else:
+            # sparse, and every other one beside a long cycle
+            n = rng.randint(6, 40)
+            ring = rng.randint(7, 12) if t % 2 else 0
+            edges = gnm_graph(n, rng.randint(n // 2, n + 3), seed=t).edges()
+            g = Graph.from_edges(n + ring, edges + [(n + i, n + (i + 1) % ring) for i in range(ring)])
+        k = rng.randint(0, max(1, g.alive_count // 3))
+        for problem, reduce in (("cpcp", reduce_cpcp), ("cpp", reduce_cpp)):
+            got, want = inst_of(g, k), inst_of(g, k)
+            reduce(got)
+            _reference_reduce(want, problem)
+            if got.exhausted or want.exhausted:
+                assert got.exhausted and want.exhausted, (t, problem)
+                continue
+            assert got.graph.vertices() == want.graph.vertices(), (t, problem)
+            assert got.graph.edges() == want.graph.edges(), (t, problem)
+            assert got.k == want.k, (t, problem)
+            checked += 1
+    assert checked >= 600, checked
+
+
+def test_reduce_scans_components_at_most_twice(monkeypatch):
+    calls = []
+    components = Graph.components
+    monkeypatch.setattr(Graph, "components", lambda g: calls.append(1) or components(g))
+    for reduce, g, k in ((reduce_cpcp, path_graph(300), 0), (reduce_cpp, path_graph(300), 0),
+                         (reduce_cpp, cycle_graph(60), 1)):
+        calls.clear()
+        inst = inst_of(g, k)
+        reduce(inst)
+        assert inst.graph.alive_count == 0 and inst.k == 0
+        assert len(calls) <= 2, (reduce.__name__, len(calls))
 
 
 # ------------------------------------------------------------------ solving

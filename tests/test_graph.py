@@ -2,7 +2,7 @@ import pytest
 
 from copack import graph as graphlib
 from copack.graph import Graph
-from conftest import random_graph
+from conftest import random_gnm, random_graph
 
 # every structure finder the reductions and branching steps use
 FINDERS = {
@@ -15,8 +15,7 @@ FINDERS = {
     "low_degree_edge": graphlib.find_low_degree_edge,
     "degree_two_path": graphlib.find_degree_two_path,
     "pendant_chain": graphlib.find_pendant_chain,
-    "small_component": graphlib.find_small_component,
-    "cycle_component": graphlib.find_cycle_component,
+    "trivial_components": graphlib.find_trivial_components,
 }
 
 
@@ -195,11 +194,22 @@ def _brute_witness(g, kind):
             and deg[next(y for y in g.neighbors(next(iter(g.neighbors(x)))) if y != x)] == 2
             for x in verts
         )
-    if kind == "small_component":
-        return any(len(c) <= 6 for c in g.components())
-    if kind == "cycle_component":
-        return any(len(c) >= 3 and all(deg[v] == 2 for v in c) for c in g.components())
+    if kind == "trivial_components":
+        return any(len(c) <= 6 or all(deg[v] == 2 for v in c) for c in g.components())
     raise AssertionError(kind)
+
+
+def _brute_trivial_components(g):
+    """Components merged edge by edge, ordered by minimum, kept when they
+    have at most 6 vertices or all degrees 2."""
+    comp_of = {v: {v} for v in g.vertices()}
+    for u, v in g.edges():
+        if comp_of[u] is not comp_of[v]:
+            merged = comp_of[u] | comp_of[v]
+            for x in merged:
+                comp_of[x] = merged
+    comps = sorted({tuple(sorted(c)) for c in comp_of.values()})
+    return [c for c in comps if len(c) <= 6 or all(g.degree(v) == 2 for v in c)]
 
 
 def test_find_structure_matches_bruteforce(rng):
@@ -208,11 +218,21 @@ def test_find_structure_matches_bruteforce(rng):
     for g in all_graphs(4):
         for kind, find in FINDERS.items():
             assert (find(g) is not None) == _brute_witness(g, kind), (kind, g.edges())
+        assert FINDERS["trivial_components"](g) == (_brute_trivial_components(g) or None)
     for t in range(120):
         g = random_graph(t + 900, n_lo=5, n_hi=8)
         for kind, find in FINDERS.items():
             got = find(g)
             assert (got is not None) == _brute_witness(g, kind), (t, kind, g.edges())
+    # larger sparse graphs with deleted vertices, half of them beside a long cycle
+    for t in range(60):
+        n = rng.randint(8, 30)
+        ring = rng.randint(7, 10) if t % 2 else 0
+        edges = random_gnm(n, rng.randint(4, n + 4), t + 1300).edges()
+        edges += [(n + i, n + (i + 1) % ring) for i in range(ring)]
+        g = Graph.from_edges(n + ring, edges)
+        g.remove_vertices(rng.sample(range(n), 2))
+        assert FINDERS["trivial_components"](g) == (_brute_trivial_components(g) or None), t
 
 
 def test_edge_mutation():

@@ -12,6 +12,7 @@ from copack.oracles import (
     count_marked_cc_solutions,
     enumerate_marked_cc_solutions,
     marked_cc_counts,
+    min_deletion_set,
     oracle_min,
     verify,
 )
@@ -57,6 +58,8 @@ def test_oracle_self_consistency(rng):
                 if verify(g, set(combo), problem)
             )
             assert mn == best
+            cut = min_deletion_set(g, verts, 2, problem == "cpp")
+            assert len(cut) == mn and verify(g, cut, problem)
 
 
 def test_marked_cc_solution_counts():
