@@ -50,6 +50,13 @@ class RunConfig:
             raise ValueError("need -k or --optimize")
         if self.k is not None and self.k < 0:
             raise ValueError("k must be >= 0")
+        if self.decomposition and not self.whole_dp:
+            raise ValueError("--decomposition needs --mode dp, or bdd outside oracle mode")
+
+    @property
+    def whole_dp(self) -> bool:
+        """Whether the route runs the leaf DP on one decomposition of the whole graph."""
+        return self.mode == "dp" or (self.problem == "bdd" and self.mode != "oracle")
 
 
 # Step recurrences: decrement multisets whose largest roots the analysis
@@ -140,8 +147,7 @@ def command_solve(cfg: RunConfig, path: str):
     start = time.monotonic()
     stats = SolveStats()
     # the whole-graph DP routes decompose once for every decision
-    whole_dp = cfg.mode == "dp" or (cfg.problem == "bdd" and cfg.mode != "oracle")
-    events = _events_for(g, cfg) if whole_dp else None
+    events = _events_for(g, cfg) if cfg.whole_dp else None
     calls = None  # decisions a binary search made
     if cfg.optimize and not _exact(cfg):
         # decision-only routes binary-search the minimum

@@ -24,7 +24,6 @@ entry whose int reaches 0 is dropped.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .decomp import NiceEventSequence
@@ -83,17 +82,13 @@ def parity_dp(
     min_keep, when given, prunes states that can no longer reach n >= min_keep
     kept vertices; use only for decisions, never when the full table matters.
     """
-    intro_left = sum(1 for op, _ in events.events if op == "introduce")
+    intro_left = g.alive_count  # the walk introduces each alive vertex once
     table: dict = {((), 0, 0, 0, 0): 1}
-    bag: list[int] = []
 
-    for op, v in events.events:
-        if not g.is_alive(v):
-            raise ValueError("event vertex %d is not alive" % v)
+    for op, v, p, bag in events.walk(g):
         new: dict = {}
         if op == "introduce":
             intro_left -= 1
-            p = bisect_left(bag, v)
             nbrs = [(i, bag[i]) for i in range(len(bag)) if bag[i] in g._adj[v]]
             ew = {i: weights.edge_weights[(min(u, v), max(u, v))] for i, u in nbrs}
             wv = weights.vertex_weights[v]
@@ -147,22 +142,12 @@ def parity_dp(
                             _xor(new, (nl, a2, n2, e2, m + 1), (bv << we1) ^ (bv << we2))
                             _xor(new, (nl, a2, n2, e2, m + 2), bv << (we1 + we2))
                 # more than 2 kept bag-neighbors: v cannot be kept
-            insort(bag, v)
-        elif op == "forget":
-            try:
-                p = bag.index(v)
-            except ValueError:
-                raise ValueError("vertex %d forgotten while not in bag" % v)
+        else:
             for (labels, a, n, e, m), bits in table.items():
                 _xor(new, (labels[:p] + labels[p + 1:], a, n, e, m), bits)
-            bag.pop(p)
-        else:
-            raise ValueError("unknown event %r" % (op,))
         keep = 0 if min_keep is None else min_keep - intro_left
         table = {key: bits for key, bits in new.items() if bits and key[2] >= keep}
 
-    if bag:
-        raise ValueError("events leave a nonempty bag: %s" % bag)
     return {(a, n, e, w, m) for (_, a, n, e, m), bits in table.items() for w in _bit_positions(bits)}
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import GraphFormatError, SizeLimitError
@@ -96,6 +97,36 @@ class NiceEventSequence:
 
     def to_decomposition(self) -> PathDecomposition:
         return PathDecomposition(self.replay_bags())
+
+    def walk(self, g: Graph):
+        """Replay the events over g, yielding (op, v, p, bag): bag is the sorted
+        bag before the event, valid until the next step, and p is v's position
+        in it. Raises ValueError on a dead vertex, a second introduce, a forget
+        outside the bag, an unknown op, a nonempty final bag, or an alive
+        vertex never introduced."""
+        bag: list[int] = []
+        introduced: set[int] = set()
+        for op, v in self.events:
+            if not g.is_alive(v):
+                raise ValueError("event vertex %d is not alive" % v)
+            p = bisect_left(bag, v)
+            if op == "introduce":
+                if v in introduced:
+                    raise ValueError("vertex %d introduced twice" % v)
+                introduced.add(v)
+                yield op, v, p, bag
+                bag.insert(p, v)
+            elif op == "forget":
+                if p == len(bag) or bag[p] != v:
+                    raise ValueError("vertex %d forgotten while not in bag" % v)
+                yield op, v, p, bag
+                bag.pop(p)
+            else:
+                raise ValueError("unknown event %r" % (op,))
+        if bag:
+            raise ValueError("events leave a nonempty bag: %s" % bag)
+        if g.alive_count != len(introduced):
+            raise ValueError("events never introduce: %s" % sorted(set(g.vertices()) - introduced))
 
 
 def to_nice(pd: PathDecomposition) -> NiceEventSequence:
@@ -240,11 +271,15 @@ def heuristic_pd(g: Graph) -> PathDecomposition:
 
 
 def decomposition_for(g: Graph) -> PathDecomposition:
-    """Best decomposition we can afford: exact up to EXACT_PATHWIDTH_LIMIT
-    alive vertices, greedy above."""
-    if g.alive_count <= EXACT_PATHWIDTH_LIMIT:
-        return exact_pathwidth(g)[1]
-    return heuristic_pd(g)
+    """Best decomposition we can afford: each component exact up to
+    EXACT_PATHWIDTH_LIMIT vertices and greedy above, the bags concatenated."""
+    comps = g.components()
+    bags: list[frozenset] = []
+    for comp in comps:
+        h = g if len(comps) == 1 else g.without_vertices(set(g.vertices()).difference(comp))
+        pd = exact_pathwidth(h)[1] if len(comp) <= EXACT_PATHWIDTH_LIMIT else heuristic_pd(h)
+        bags += pd.bags
+    return PathDecomposition(bags)
 
 
 # ----------------------------------------------------------- proper graphs

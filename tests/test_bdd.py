@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
 import pytest
 
 from copack.bdd import bdd_dp_solve
-from copack.decomp import PathDecomposition, exact_pathwidth, heuristic_pd, to_nice, validate
-from copack.generators import complete_graph, cycle_graph, path_graph
+from copack.cutcount import parity_dp, sample_weights
+from copack.decomp import NiceEventSequence, PathDecomposition, exact_pathwidth, heuristic_pd, to_nice, validate
+from copack.generators import complete_graph, cycle_graph, grid_graph, path_graph
 from copack.graph import Graph
 from copack.oracles import oracle_min, verify
 from conftest import all_graphs, random_graph
@@ -90,15 +92,35 @@ def test_decomposition_independence():
 
 def test_bad_events_rejected():
     g = path_graph(3)
-    from copack.decomp import NiceEventSequence
+    weights = sample_weights(g, 0)
+    intro = [("introduce", v) for v in range(3)]
+    forget = [("forget", v) for v in range(3)]
+    bad = {
+        "introduced twice": intro + forget[:1] + [("introduce", 0)] + forget,
+        "never introduced": [("introduce", 0), ("introduce", 1), ("forget", 0), ("forget", 1)],
+        "forgotten while absent": intro + [("forget", 0)] + forget,
+        "bag left nonempty": intro + forget[:2],
+        "unknown op": intro + [("touch", 1)] + forget,
+        "dead vertex": intro + [("introduce", 3)] + forget,
+    }
+    for case, events in bad.items():
+        ev = NiceEventSequence(events, 2)
+        with pytest.raises(ValueError):
+            bdd_dp_solve(g, ev, 2)
+            pytest.fail("bdd_dp_solve accepted: " + case)
+        with pytest.raises(ValueError):
+            parity_dp(g, ev, weights)
+            pytest.fail("parity_dp accepted: " + case)
 
-    with pytest.raises(ValueError):
-        bdd_dp_solve(g, NiceEventSequence([("introduce", 0), ("forget", 0)], 0), 2)
-    with pytest.raises(ValueError):
-        bdd_dp_solve(
-            g,
-            NiceEventSequence(
-                [("introduce", 0), ("introduce", 1), ("forget", 0), ("forget", 1)], 1
-            ),
-            2,
-        )
+
+def test_table_memory_stays_small():
+    # one deletion mask per entry: the peak follows the largest table, not the event count
+    g = grid_graph(7, 10)
+    ev = to_nice(heuristic_pd(g))
+    tracemalloc.start()
+    try:
+        bdd_dp_solve(g, ev, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

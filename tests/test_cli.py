@@ -127,6 +127,22 @@ def test_command_solve_decomposition_file(tmp_path):
     assert rec["min_size"] == oracle_min(g, "cpcp")
 
 
+def test_decomposition_needs_a_whole_graph_route(tmp_path, capsys):
+    f = tmp_path / "p.gr"
+    f.write_text(command_gen("proper", [10]))
+    pd = ["--decomposition", str(tmp_path / "nonexistent.pd")]
+    for route in (["--problem", "cpcp", "-k", "0"],
+                  ["--problem", "cpp", "-k", "0", "--mode", "branch"],
+                  ["--problem", "bdd", "--d", "1", "-k", "0", "--mode", "oracle"]):
+        assert main(["solve", str(f)] + route + pd) == 2
+        assert "--decomposition needs" in capsys.readouterr().err
+    # the whole-graph DP routes read the file, which here is missing
+    for route in (["--problem", "cpcp", "-k", "0", "--mode", "dp"],
+                  ["--problem", "bdd", "--d", "1", "-k", "0"]):
+        assert main(["solve", str(f)] + route + pd) == 2
+        assert "nonexistent.pd" in capsys.readouterr().err
+
+
 def test_main_exit_codes(tmp_path, capsys):
     f = tmp_path / "c6.gr"
     f.write_text(command_gen("cycle", [6]))

@@ -4,9 +4,11 @@ from itertools import permutations
 import pytest
 
 from copack.decomp import (
+    EXACT_PATHWIDTH_LIMIT,
     GuardReport,
     NiceEventSequence,
     PathDecomposition,
+    decomposition_for,
     exact_pathwidth,
     guard_check,
     heuristic_pd,
@@ -145,6 +147,22 @@ def test_exact_pathwidth_on_proper_graphs():
             w, pd = exact_pathwidth(g)
             assert validate(g, pd) is None and pd.width == w
             assert w <= heuristic_pd(g).width
+
+
+def test_decomposition_for_is_exact_per_component():
+    # unions too large for one exact search; each component gets its own
+    for sizes in ((14, 16, 18), (20, 20), (6, 9, 22, 12)):
+        for seed in range(3):
+            parts = [proper_graph(n, seed + i) for i, n in enumerate(sizes)]
+            edges, offset = [], 0
+            for h in parts:
+                edges += [(u + offset, v + offset) for u, v in h.edges()]
+                offset += h.size
+            g = Graph.from_edges(offset, edges)
+            assert g.alive_count > EXACT_PATHWIDTH_LIMIT
+            pd = decomposition_for(g)
+            assert validate(g, pd) is None
+            assert pd.width == max(exact_pathwidth(h)[0] for h in parts), (sizes, seed)
 
 
 def test_exact_pathwidth_limit():
