@@ -10,6 +10,7 @@ from copack import (
     validate,
     write_decomposition,
 )
+from copack.decomp import validate_events
 from copack.generators import cycle_graph, grid_graph, path_graph
 
 for name, g in (
@@ -23,13 +24,13 @@ for name, g in (
     print("%-9s pathwidth=%d   greedy width=%d" % (name, width, greedy.width))
 
 # Every decomposition turns into a sequence of introduce/forget events of the
-# same width; replaying the events reproduces a valid decomposition.
+# same width; replaying them checks every property of a decomposition again.
 g = cycle_graph(6)
 width, pd = exact_pathwidth(g)
 events = to_nice(pd)
 print("\nC6 events (width %d):" % events.width)
 print("  " + ", ".join("%s %d" % (op, v) for op, v in events.events))
-assert validate(g, events.to_decomposition()) is None
+validate_events(g, events)  # raises ValueError on a bad sequence
 
 print("\nC6 decomposition on disk (vertices are 1-based in files):")
 print(write_decomposition(pd))

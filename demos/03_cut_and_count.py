@@ -2,10 +2,12 @@
 """Inside the randomized decision procedure for co-path packing.
 
 The DP counts, modulo two, induced max-degree-2 subgraphs equipped with a
-two-sided cut and marked side-one edges. Querying marker counts equal to
-n - e - a (which only acyclic, fully-marked shapes achieve in odd numbers)
-cancels everything that is not a disjoint union of paths; random weights make
-the surviving solutions countable without accidental cancellation.
+two-sided cut and marked side-one edges. Only the marker surplus
+delta = markers - (n - e - a) over the would-be component count matters:
+at delta 0 everything that is not a disjoint union of paths cancels, and
+random weights make the surviving solutions countable without accidental
+cancellation. The DP therefore keys its table by delta and by the kept
+vertex count capped at the `need` a decision asks for.
 """
 
 from copack import parity_dp, sample_weights, to_nice, exact_pathwidth, decide_cpp
@@ -15,16 +17,22 @@ from copack.oracles import cc_candidate_counts
 g = path_graph(2)
 weights = sample_weights(g, seed=2)
 events = to_nice(exact_pathwidth(g)[1])
-odd = parity_dp(g, events, weights)
 print("single edge, weights", weights.vertex_weights, weights.edge_weights)
-print("odd (isolates, n, e, w, markers) keys from the DP:")
-for key in sorted(odd):
-    print("  ", key)
-
-# The brute-force counter agrees on every key; the unmarked two-vertex shape
-# is counted twice (its component may sit on either side) and cancels.
 counts = cc_candidate_counts(g, weights)
-assert odd == {k for k, c in counts.items() if c % 2}
+for need in range(3):
+    table = parity_dp(g, events, weights, need)
+    print("need %d: odd (delta, weight) pairs from the DP:" % need)
+    for delta, bits in sorted(table.items()):
+        print("   delta %+d at weights %s" % (delta, [w for w in range(bits.bit_length()) if bits >> w & 1]))
+    # The brute-force counter, projected onto the same folded key, agrees.
+    folded = {}
+    for (a, n, e, w, m), c in counts.items():
+        if n >= need and c % 2:
+            folded[m - (n - e - a)] = folded.get(m - (n - e - a), 0) ^ (1 << w)
+    assert table == {d: bits for d, bits in folded.items() if bits}
+
+# The unmarked two-vertex shape is counted twice (its component may sit on
+# either side) and cancels; the marked one is the lone solution at need 2.
 both_kept_unmarked = (0, 2, 1, sum(weights.vertex_weights.values()), 0)
 print("\nunmarked full subgraph counted %d times -> parity 0"
       % counts[both_kept_unmarked])

@@ -49,7 +49,6 @@ from .oracles import (
     count_cc_candidates,
     count_marked_cc_solutions,
     marked_cc_counts,
-    oracle_decide,
     oracle_min,
     verify,
 )

@@ -76,36 +76,15 @@ class NiceEventSequence:
     def __len__(self):
         return len(self.events)
 
-    def replay_bags(self) -> list[frozenset]:
-        cur: set[int] = set()
-        bags = []
-        for op, v in self.events:
-            if op == "introduce":
-                if v in cur:
-                    raise ValueError("vertex %d introduced while present" % v)
-                cur.add(v)
-            elif op == "forget":
-                if v not in cur:
-                    raise ValueError("vertex %d forgotten while absent" % v)
-                cur.remove(v)
-            else:
-                raise ValueError("unknown event %r" % (op,))
-            bags.append(frozenset(cur))
-        if cur:
-            raise ValueError("vertices never forgotten: %s" % sorted(cur))
-        return bags
-
-    def to_decomposition(self) -> PathDecomposition:
-        return PathDecomposition(self.replay_bags())
-
     def walk(self, g: Graph):
         """Replay the events over g, yielding (op, v, p, bag): bag is the sorted
         bag before the event, valid until the next step, and p is v's position
         in it. Raises ValueError on a dead vertex, a second introduce, a forget
-        outside the bag, an unknown op, a nonempty final bag, or an alive
-        vertex never introduced."""
+        outside the bag, an unknown op, a nonempty final bag, an alive vertex
+        never introduced, or an edge whose ends never share a bag."""
         bag: list[int] = []
         introduced: set[int] = set()
+        forgotten: set[int] = set()
         for op, v in self.events:
             if not g.is_alive(v):
                 raise ValueError("event vertex %d is not alive" % v)
@@ -113,6 +92,9 @@ class NiceEventSequence:
             if op == "introduce":
                 if v in introduced:
                     raise ValueError("vertex %d introduced twice" % v)
+                missed = g._adj[v] & forgotten
+                if missed:
+                    raise ValueError("vertex %d introduced after its neighbor %d was forgotten" % (v, min(missed)))
                 introduced.add(v)
                 yield op, v, p, bag
                 bag.insert(p, v)
@@ -121,6 +103,7 @@ class NiceEventSequence:
                     raise ValueError("vertex %d forgotten while not in bag" % v)
                 yield op, v, p, bag
                 bag.pop(p)
+                forgotten.add(v)
             else:
                 raise ValueError("unknown event %r" % (op,))
         if bag:
@@ -153,10 +136,10 @@ def to_nice(pd: PathDecomposition) -> NiceEventSequence:
 
 
 def validate_events(g: Graph, ev: NiceEventSequence):
-    """Raise unless replaying the events gives a valid decomposition of g."""
-    bad = validate(g, ev.to_decomposition())
-    if bad is not None:
-        raise ValueError("event sequence invalid: %s" % (bad.message,))
+    """Raise ValueError unless replaying the events gives a valid
+    decomposition of g."""
+    for _ in ev.walk(g):
+        pass
 
 
 # ----------------------------------------------------------- exact width

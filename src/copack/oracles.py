@@ -118,10 +118,6 @@ def oracle_min(g: Graph, problem: str, d: int | None = None, limit: int = ORACLE
     return len(min_deletion_set(g, verts, bound, acyclic))
 
 
-def oracle_decide(g: Graph, k: int, problem: str, d: int | None = None, limit: int = ORACLE_LIMIT) -> bool:
-    return k >= 0 and oracle_min(g, problem, d, limit) <= k
-
-
 # ------------------------------------------------------- cut & count oracles
 
 

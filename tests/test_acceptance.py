@@ -27,7 +27,7 @@ from copack.oracles import (
     marked_cc_counts,
     oracle_min,
 )
-from conftest import random_gnm
+from conftest import fold_counts, random_gnm
 
 
 def _report(name, ok, detail=""):
@@ -136,11 +136,15 @@ def test_criterion_04_parity_dp_vs_bruteforce():
         ev = to_nice(exact_pathwidth(g)[1])
         for s in range(3):
             w = sample_weights(g, seed=derive_seed(4000 + idx, s))
-            odd_dp = parity_dp(g, ev, w)
             counts = cc_candidate_counts(g, w)
-            if odd_dp != {key for key, c in counts.items() if c % 2}:
-                bad += 1
-    _report("criterion 4: parity DP equals brute-force counts mod 2 on all keys", bad == 0, "%d tables off" % bad)
+            for need in range(g.alive_count + 2):
+                if parity_dp(g, ev, w, need) != fold_counts(counts, need):
+                    bad += 1
+    _report(
+        "criterion 4: parity DP equals brute-force counts mod 2 on all keys, at every need",
+        bad == 0,
+        "%d tables off" % bad,
+    )
 
 
 def test_criterion_05_bdd_dp_vs_oracle():

@@ -109,8 +109,16 @@ def test_bad_events_rejected():
             bdd_dp_solve(g, ev, 2)
             pytest.fail("bdd_dp_solve accepted: " + case)
         with pytest.raises(ValueError):
-            parity_dp(g, ev, weights)
+            parity_dp(g, ev, weights, 0)
             pytest.fail("parity_dp accepted: " + case)
+    # each K3 vertex alone in its bag: no bag covers an edge, and a DP that
+    # ran anyway would see an edgeless graph (0 deletions, a false cpp yes)
+    k3 = complete_graph(3)
+    alone = NiceEventSequence([(op, v) for v in range(3) for op in ("introduce", "forget")], 0)
+    with pytest.raises(ValueError):
+        bdd_dp_solve(k3, alone, 0)
+    with pytest.raises(ValueError):
+        parity_dp(k3, alone, sample_weights(k3, 0), 3)
 
 
 def test_table_memory_stays_small():

@@ -158,6 +158,16 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["solve", "--problem", "cpcp", "-k", "1", str(tmp_path / "missing.gr")]) == 2
 
 
+def test_cpp_solves_a_planted_graph_of_220_vertices(tmp_path, capsys):
+    """Its first leaf has 82 vertices in 5 components; the cut & count table
+    keyed only by what the decision reads stays small on it."""
+    assert main(["gen", "planted", "--forest-n", "200", "--k", "20", "--seed", "3"]) == 0
+    f = tmp_path / "planted.gr"
+    f.write_text(capsys.readouterr().out)
+    assert main(["solve", "--problem", "cpp", "-k", "20", str(f)]) == 0
+    assert "answer=yes" in capsys.readouterr().out
+
+
 def test_main_branch_mode_errors_on_proper_leaf(tmp_path, capsys):
     from copack.generators import proper_graph
 

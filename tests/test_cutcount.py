@@ -18,7 +18,7 @@ from copack.oracles import (
     marked_cc_counts,
     oracle_min,
 )
-from conftest import random_graph
+from conftest import fold_counts, random_graph
 
 
 def events_for(g):
@@ -42,21 +42,25 @@ def test_sample_weights():
 def test_parity_single_vertex():
     g = Graph(1)
     w = sample_weights(g, seed=0)
-    final = parity_dp(g, events_for(g), w)
-    assert (1, 1, 0, w.vertex_weights[0], 0) in final
-    assert not any(n == 1 and a == 0 for a, n, e, _, m in final)
+    ev = events_for(g)
+    # the kept vertex is one isolate: a = n = 1, e = m = 0, so delta = 0
+    assert parity_dp(g, ev, w, 1) == {0: 1 << w.vertex_weights[0]}
+    # need 0 adds the empty candidate at weight 0
+    assert parity_dp(g, ev, w, 0) == {0: 1 | 1 << w.vertex_weights[0]}
+    assert parity_dp(g, ev, w, 2) == {}
 
 
 def test_parity_single_edge():
     g = path_graph(2)
     w = sample_weights(g, seed=2)
-    final = parity_dp(g, events_for(g), w)
+    ev = events_for(g)
     counts = cc_candidate_counts(g, w)
-    assert final == {k for k, c in counts.items() if c % 2}
+    for need in range(4):
+        assert parity_dp(g, ev, w, need) == fold_counts(counts, need), need
+    # both kept: the marked edge is the one solution; unmarked, the component
+    # sits on either side and the pair cancels at delta -1
     wsum = sum(w.vertex_weights.values()) + w.edge_weights[(0, 1)]
-    assert (0, 2, 1, wsum, 1) in final  # both kept, edge marked
-    # both kept unmarked cancels across the two cut sides
-    assert (0, 2, 1, sum(w.vertex_weights.values()), 0) not in final
+    assert parity_dp(g, ev, w, 2) == {0: 1 << wsum}
 
 
 def test_parity_matches_bruteforce_all_keys():
@@ -65,9 +69,9 @@ def test_parity_matches_bruteforce_all_keys():
         ev = events_for(g)
         for s in range(5):
             w = sample_weights(g, seed=derive_seed(t, s))
-            odd_dp = parity_dp(g, ev, w)
             counts = cc_candidate_counts(g, w)
-            assert odd_dp == {k for k, c in counts.items() if c % 2}, (t, s, g.edges())
+            for need in range(g.alive_count + 2):
+                assert parity_dp(g, ev, w, need) == fold_counts(counts, need), (t, s, need, g.edges())
 
 
 def test_unmarked_component_counts_are_even():
@@ -87,7 +91,9 @@ def test_unmarked_component_counts_are_even():
 
 def test_parity_chain_exhaustive_tiny_graphs():
     """DP parity -> candidate parity -> marked-solution parity, every labeled
-    graph on up to 4 vertices, several weight draws."""
+    graph on up to 4 vertices, several weight draws, every need: bit w at
+    delta 0 is the parity of the marked solutions of weight w with at least
+    need kept vertices."""
     from conftest import all_graphs
 
     for n in range(1, 5):
@@ -95,18 +101,16 @@ def test_parity_chain_exhaustive_tiny_graphs():
             ev = events_for(g)
             for s in range(3):
                 w = sample_weights(g, seed=derive_seed(90 + n, s))
-                odd_dp = parity_dp(g, ev, w)
                 counts = cc_candidate_counts(g, w)
-                assert odd_dp == {k for k, c in counts.items() if c % 2}
                 mk = marked_cc_counts(g, w)
-                keys = set(mk) | {
-                    (a, nn, e, ww) for (a, nn, e, ww, m) in counts if m == nn - e - a
-                }
-                for a, nn, e, ww in keys:
-                    assert (
-                        mk.get((a, nn, e, ww), 0) % 2
-                        == counts.get((a, nn, e, ww, nn - e - a), 0) % 2
-                    )
+                for need in range(n + 2):
+                    table = parity_dp(g, ev, w, need)
+                    assert table == fold_counts(counts, need)
+                    marked = 0
+                    for (a, nn, e, ww), c in mk.items():
+                        if nn >= need and c % 2:
+                            marked ^= 1 << ww
+                    assert table.get(0, 0) == marked
 
 
 def test_decide_examples():
@@ -174,21 +178,15 @@ def test_derive_seed_spread():
 def test_parity_decomposition_independent_past_oracle():
     """Past the oracle's reach the DP is checked against itself: the same
     weights over a narrow exact and a wider greedy decomposition give the
-    same final table."""
+    same final table at every need, so pruning by need drops no reachable
+    key."""
     for n in (16, 17, 18):
         g = proper_graph(n, seed=n)
         exact = to_nice(exact_pathwidth(g)[1])
         greedy = to_nice(heuristic_pd(g))
         assert greedy.width > exact.width
         w = sample_weights(g, seed=derive_seed(n, 0))
-        assert parity_dp(g, exact, w) == parity_dp(g, greedy, w), n
-
-
-def test_parity_pruning_keeps_every_reachable_key():
-    for n in (16, 18):
-        g = proper_graph(n, seed=n + 1)
-        ev = to_nice(heuristic_pd(g))
-        w = sample_weights(g, seed=derive_seed(n, 1))
-        full = parity_dp(g, ev, w)
-        for t in (n - 4, n - 1, n):
-            assert parity_dp(g, ev, w, min_keep=t) == {key for key in full if key[1] >= t}, (n, t)
+        for need in (0, n - 4, n - 1, n):
+            table = parity_dp(g, exact, w, need)
+            assert table == parity_dp(g, greedy, w, need), (n, need)
+            assert need > 0 or 0 in table  # the empty candidate is odd at weight 0

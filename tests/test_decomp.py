@@ -16,6 +16,7 @@ from copack.decomp import (
     parse_decomposition,
     to_nice,
     validate,
+    validate_events,
     write_decomposition,
 )
 from copack.errors import GraphFormatError, SizeLimitError
@@ -41,7 +42,7 @@ def test_to_nice_examples():
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
     ev = to_nice(PathDecomposition([{0, 1}, {1, 2}]))
     assert ev.width == 1
-    assert validate(p3, ev.to_decomposition()) is None
+    validate_events(p3, ev)
     single = to_nice(PathDecomposition([{0}]))
     assert single.events == [("introduce", 0), ("forget", 0)]
 
@@ -63,7 +64,7 @@ def test_to_nice_preserves_width(rng):
         assert validate(g, pd) is None
         ev = to_nice(pd)
         assert ev.width == pd.width
-        assert validate(g, ev.to_decomposition()) is None
+        validate_events(g, ev)
 
 
 def test_exact_pathwidth_small_families():
@@ -215,17 +216,13 @@ def test_is_proper():
 
 
 def test_validate_events():
-    import pytest as _pytest
-
-    from copack.decomp import validate_events
-
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
     ev = to_nice(PathDecomposition([{0, 1}, {1, 2}]))
     validate_events(p3, ev)
     bad = NiceEventSequence(
         [("introduce", 0), ("forget", 0), ("introduce", 1), ("forget", 1),
          ("introduce", 2), ("forget", 2)], 0)
-    with _pytest.raises(ValueError):
+    with pytest.raises(ValueError):
         validate_events(p3, bad)  # edges never share a bag
 
 
