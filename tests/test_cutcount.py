@@ -5,6 +5,7 @@ import pytest
 from copack.cutcount import (
     decide_cpp,
     decide_cpp_once,
+    WeightAssignment,
     derive_seed,
     parity_dp,
     sample_weights,
@@ -190,3 +191,27 @@ def test_parity_decomposition_independent_past_oracle():
             table = parity_dp(g, exact, w, need)
             assert table == parity_dp(g, greedy, w, need), (n, need)
             assert need > 0 or 0 in table  # the empty candidate is odd at weight 0
+
+
+def test_parity_pruning_keeps_every_reachable_key():
+    """Pruning by need drops no reachable key. The reference is the unpruned
+    run at need 0 with every vertex weight raised by B, more than any
+    candidate's own weight, so the kept count is read off the weight's high
+    part and the candidates with at least t kept vertices are picked out."""
+    for n in (16, 18):
+        g = proper_graph(n, seed=n + 1)
+        ev = to_nice(heuristic_pd(g))
+        w = sample_weights(g, seed=derive_seed(n, 1))
+        big = sum(w.vertex_weights.values()) + sum(w.edge_weights.values()) + 1
+        lifted = WeightAssignment({v: x + big for v, x in w.vertex_weights.items()}, w.edge_weights, w.n_max)
+        full = parity_dp(g, ev, lifted, 0)
+        mask = (1 << big) - 1
+        for t in range(n + 1):
+            expect = {}
+            for d, bits in full.items():
+                folded = 0
+                for kept in range(t, n + 1):
+                    folded ^= (bits >> (kept * big)) & mask
+                if folded:
+                    expect[d] = folded
+            assert parity_dp(g, ev, w, t) == expect, (n, t)
