@@ -5,7 +5,6 @@ cross-validated by brute-force oracles."""
 
 from .bdd import bdd_dp_solve
 from .branching import (
-    BranchChild,
     BranchSet,
     Instance,
     SolveOutcome,

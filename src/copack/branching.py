@@ -1,8 +1,9 @@
-"""Branch-and-search drivers for co-path/cycle packing and co-path packing.
+"""Branch-and-search for co-path/cycle packing and co-path packing.
 
-Both drivers run reductions to a fixpoint at every node, fire the first
-applicable branching step, and hand proper graphs to the decomposition DPs.
-Cases the earlier fixpoints provably rule out raise InternalSolverError: a
+One depth-first search serves both problems: it runs the reductions to a
+fixpoint at every node, fires the first applicable branching step, whose
+children are the vertex sets they delete, and hands proper graphs to the
+decomposition DPs. Cases the earlier fixpoints provably rule out raise InternalSolverError: a
 silent fallback there would mask a broken reduction, not recover from one.
 """
 
@@ -24,24 +25,14 @@ class Instance:
     k: int
     deleted: set[int]
 
-    @property
-    def exhausted(self) -> bool:
-        return self.k < 0
-
-
-@dataclass(frozen=True)
-class BranchChild:
-    delete: frozenset
-
-    @property
-    def decrement(self) -> int:
-        return len(self.delete)
-
 
 @dataclass
 class BranchSet:
+    """A branching step: each child deletes a vertex set, and its size is
+    the child's budget decrement."""
+
     rule: str
-    children: list[BranchChild]
+    children: list[frozenset]
 
 
 @dataclass
@@ -70,16 +61,19 @@ class SolveOutcome:
     stats: SolveStats
 
 
-def _children(delete_sets) -> list[BranchChild]:
-    out = [BranchChild(frozenset(s)) for s in delete_sets]
-    assert all(ch.decrement >= 1 for ch in out)
-    return out
-
-
 def _assert_decrements(children, expected):
-    got = sorted(ch.decrement for ch in children)
+    got = sorted(map(len, children))
     if got != sorted(expected):
         raise InternalSolverError("branch decrements %s, expected %s" % (got, expected))
+
+
+def _branch(rule: str, sets, expected) -> BranchSet:
+    """The branch set deleting each of `sets`, whose sizes must be the
+    decrements `expected` (as a multiset)."""
+    children = [frozenset(s) for s in sets]
+    assert all(children)
+    _assert_decrements(children, expected)
+    return BranchSet(rule, children)
 
 
 # ------------------------------------------------------------ branching rules
@@ -93,10 +87,8 @@ def branch_b1(g: Graph, v: int) -> BranchSet:
     sets = [{v}]
     for u, w in combinations(nbrs, 2):
         sets.append(set(nbrs) - {u, w})
-    ch = _children(sets)
     d = len(nbrs)
-    _assert_decrements(ch, [1] + [d - 2] * (d * (d - 1) // 2))
-    return BranchSet("b1", ch)
+    return _branch("b1", sets, [1] + [d - 2] * (d * (d - 1) // 2))
 
 
 def branch_b2(g: Graph, v: int, u: int) -> BranchSet:
@@ -110,10 +102,8 @@ def branch_b2(g: Graph, v: int, u: int) -> BranchSet:
     for w in nbrs:
         if w != u:
             sets.append(set(nbrs) - {u, w})
-    ch = _children(sets)
     d = len(nbrs)
-    _assert_decrements(ch, [1] + [d - 2] * (d - 1))
-    return BranchSet("b2", ch)
+    return _branch("b2", sets, [1] + [d - 2] * (d - 1))
 
 
 # ------------------------------------------------------------------ reductions
@@ -175,7 +165,7 @@ def _reduce(inst: Instance, problem: str, stats: SolveStats) -> Instance:
     acyclic = problem == "cpp"
     _delete_trivial_components(inst, acyclic, stats)
     fired = False
-    while not inst.exhausted:
+    while inst.k >= 0:
         for find, act in _REDUCTIONS[problem]:
             found = find(inst.graph)
             if found is not None:
@@ -203,18 +193,22 @@ def reduce_cpp(inst: Instance, stats: SolveStats | None = None) -> Instance:
 # ------------------------------------------------------------------- steps
 
 
+def _triangle_sets(g: Graph, v: int, u1: int, u2: int) -> list[set[int]]:
+    """Degree-4 v in the triangle {v, u1, u2}: delete v, or keep it with two
+    of its neighbors, any pair but {u1, u2}, which closes the triangle, and
+    delete the other two."""
+    u3, u4 = [x for x in sorted(g.neighbors(v)) if x not in (u1, u2)]
+    return [{v}, {u1, u2}, {u1, u3}, {u1, u4}, {u2, u3}, {u2, u4}]
+
+
 def step3_children(g: Graph, v: int, u1: int, u2: int) -> BranchSet:
     """Degree-4 v in a heavy triangle {v, u1, u2}: the keep-the-triangle
     branch must delete its whole outside neighborhood."""
-    nbrs = sorted(g.neighbors(v))
-    u3, u4 = [x for x in nbrs if x not in (u1, u2)]
     outside = g.neighborhood_of((v, u1, u2))
     if len(outside) < 4:
         raise InternalSolverError("triangle is not heavy: |N| = %d" % len(outside))
-    sets = [{v}, {u1, u2}, {u1, u3}, {u1, u4}, {u2, u3}, {u2, u4}, set(outside)]
-    ch = _children(sets)
-    _assert_decrements(ch, [1, 2, 2, 2, 2, 2, len(outside)])
-    return BranchSet("step3", ch)
+    return _branch("step3", _triangle_sets(g, v, u1, u2) + [outside],
+                   [1, 2, 2, 2, 2, 2, len(outside)])
 
 
 def step4_children(g: Graph, v: int, u1: int, u2: int) -> BranchSet:
@@ -254,9 +248,7 @@ def step4_children(g: Graph, v: int, u1: int, u2: int) -> BranchSet:
         if (da, db) == (2, 2):
             # v dominates both degree-2 vertices: delete v, or keep all three
             # and delete the remaining neighbors.
-            ch = _children([{v}, {u1, u4}])
-            _assert_decrements(ch, [1, 2])
-            return BranchSet("step4_case1.1", ch)
+            return _branch("step4_case1.1", [{v}, {u1, u4}], [1, 2])
         if (da, db) == (4, 4):
             if u3 not in g._adj[u2]:
                 raise InternalSolverError(
@@ -277,14 +269,10 @@ def step4_children(g: Graph, v: int, u1: int, u2: int) -> BranchSet:
             raise InternalSolverError("triangle with one outside neighbor survived reduction")
         if d5 == 3:
             z = (g._adj[u5] - {u1, u2}).pop()
-            ch = _children([{v, z}] + pair_sets)
-            _assert_decrements(ch, [2] + [2] * 6)
-            return BranchSet("step4_case2.2", ch)
+            return _branch("step4_case2.2", [{v, z}] + pair_sets, [2] + [2] * 6)
         if d5 == 4:
             za, zb = sorted(g._adj[u5] - {u1, u2})
-            ch = _children([{v, u5}, {v, za, zb}] + pair_sets)
-            _assert_decrements(ch, [2, 3] + [2] * 6)
-            return BranchSet("step4_case2.3", ch)
+            return _branch("step4_case2.3", [{v, u5}, {v, za, zb}] + pair_sets, [2, 3] + [2] * 6)
         raise InternalSolverError("third outside vertex has degree %d" % d5)
 
     if sorted((d1, d2)) == [2, 3]:
@@ -294,9 +282,7 @@ def step4_children(g: Graph, v: int, u1: int, u2: int) -> BranchSet:
         low = u1 if d1 == 2 else u2
         if not g.dominates(v, low):
             raise InternalSolverError("degree-2 triangle partner must be dominated by v")
-        bs = branch_b2(g, v, low)
-        bs.rule = "step4_dominated_deg2"
-        return bs
+        return BranchSet("step4_dominated_deg2", branch_b2(g, v, low).children)
 
     if (d1, d2) == (2, 2):
         raise InternalSolverError("adjacent degree-2 pair survived the edge reduction")
@@ -320,20 +306,13 @@ def step5_children(g: Graph, v: int, u1: int) -> BranchSet:
     for pair in combinations(others, 2):
         for w in n1:
             sets.append(set(pair) | (set(n1) - {w}))
-    ch = _children(sets)
-    _assert_decrements(ch, [1, 2, 2, 2] + [d1] * (3 * (d1 - 1)))
-    return BranchSet("step5", ch)
+    return _branch("step5", sets, [1, 2, 2, 2] + [d1] * (3 * (d1 - 1)))
 
 
 def step_star3_children(g: Graph, v: int, u1: int, u2: int) -> BranchSet:
     """Degree-4 v in any triangle, co-path packing: the branch keeping the
     whole triangle can never lead to a path packing, so it is dropped."""
-    nbrs = sorted(g.neighbors(v))
-    u3, u4 = [x for x in nbrs if x not in (u1, u2)]
-    sets = [{v}, {u1, u2}, {u1, u3}, {u1, u4}, {u2, u3}, {u2, u4}]
-    ch = _children(sets)
-    _assert_decrements(ch, [1, 2, 2, 2, 2, 2])
-    return BranchSet("step*3", ch)
+    return _branch("step*3", _triangle_sets(g, v, u1, u2), [1, 2, 2, 2, 2, 2])
 
 
 # Branching steps per problem, in priority order: (finder, function making
@@ -370,17 +349,7 @@ def _pick_step(g: Graph, problem: str) -> BranchSet | None:
     return None
 
 
-# ------------------------------------------------------------------- drivers
-
-
-def _assert_proper(g: Graph):
-    if not decomp.is_proper(g):
-        raise InternalSolverError("branching left a non-proper graph: %s" % (g.edges(),))
-
-
-def _apply_child(inst: Instance, child: BranchChild) -> Instance:
-    return Instance(inst.graph.without_vertices(child.delete), inst.k - child.decrement,
-                    inst.deleted | child.delete)
+# -------------------------------------------------------------------- search
 
 
 def cpp_leaf(g: Graph, k: int, events, repeats: int, seed: int, stats: SolveStats) -> bool:
@@ -391,75 +360,63 @@ def cpp_leaf(g: Graph, k: int, events, repeats: int, seed: int, stats: SolveStat
     return runs > 0
 
 
-class _Driver:
-    def __init__(self, problem: str, dp_allowed: bool, repeats: int = 0, seed: int = 0):
-        self.problem = problem
-        self.dp_allowed = dp_allowed
-        self.repeats = repeats
-        self.seed = seed
-        self.stats = SolveStats()
-        self._leaf_counter = 0
-
-    def run(self, root: Instance):
-        """Depth-first search over the branch tree, children in branch-set
-        order. The stack holds (parent, child) pairs; a child is copied out
-        of its parent only when popped. Returns (answer, witness)."""
-        stack: list[tuple[Instance, BranchChild | None]] = [(root, None)]
-        while stack:
-            parent, child = stack.pop()
-            inst = parent if child is None else _apply_child(parent, child)
-            (reduce_cpcp if self.problem == "cpcp" else reduce_cpp)(inst, self.stats)
-            if inst.exhausted:
-                continue
-            if inst.graph.alive_count == 0:
-                return True, set(inst.deleted)
-            bs = _pick_step(inst.graph, self.problem)
-            if bs is None:
-                ans, wit = self._leaf(inst)
-                if ans:
-                    return True, wit
-                continue
-            self.stats.nodes += 1
-            stack.extend((inst, ch) for ch in reversed(bs.children) if ch.decrement <= inst.k)
-        return False, None
-
-    def _leaf(self, inst: Instance):
+def _search(problem: str, root: Instance, stats: SolveStats, dp_allowed: bool,
+            repeats: int, seed: int):
+    """Depth-first search over the branch tree, children in branch-set
+    order. The stack holds (parent, child) pairs; a child is copied out of
+    its parent only when popped. A leaf is a proper graph, solved by the
+    deletion DP (cpcp) or by cut & count (cpp) with weights from
+    derive_seed(seed, i) at the i-th DP leaf, so stats must start at zero.
+    Returns (answer, witness); the witness is None for cpp."""
+    reduce = reduce_cpcp if problem == "cpcp" else reduce_cpp
+    stack: list[tuple[Instance, frozenset | None]] = [(root, None)]
+    while stack:
+        parent, child = stack.pop()
+        inst = parent if child is None else Instance(
+            parent.graph.without_vertices(child), parent.k - len(child), parent.deleted | child)
+        reduce(inst, stats)
+        if inst.k < 0:
+            continue
         g = inst.graph
-        _assert_proper(g)
-        if not self.dp_allowed:
+        if g.alive_count == 0:
+            return True, set(inst.deleted)
+        bs = _pick_step(g, problem)
+        if bs is not None:
+            stats.nodes += 1
+            stack.extend((inst, ch) for ch in reversed(bs.children) if len(ch) <= inst.k)
+            continue
+        if not decomp.is_proper(g):
+            raise InternalSolverError("branching left a non-proper graph: %s" % (g.edges(),))
+        if not dp_allowed:
             raise DpDisabledError(
                 "a proper %d-vertex graph needs the decomposition DP" % g.alive_count
             )
-        guard = decomp.guard_check(g, inst.k)
-        if not guard.ok:
-            self.stats.guard_rejects += 1
-            return False, None
-        pd = decomp.decomposition_for(g)
-        events = decomp.to_nice(pd)
-        self.stats.dp_calls += 1
-        self.stats.dp_width = max(self.stats.dp_width, events.width)
-        if self.problem == "cpcp":
+        if not decomp.guard_check(g, inst.k).ok:
+            stats.guard_rejects += 1
+            continue
+        events = decomp.to_nice(decomp.decomposition_for(g))
+        stats.dp_calls += 1
+        stats.dp_width = max(stats.dp_width, events.width)
+        if problem == "cpcp":
             size, wit = bdd_dp_solve(g, events, 2)
             if size <= inst.k:
                 return True, inst.deleted | wit
-            return False, None
-        leaf_seed = cutcount.derive_seed(self.seed, self._leaf_counter)
-        self._leaf_counter += 1
-        return cpp_leaf(g, inst.k, events, self.repeats, leaf_seed, self.stats), None
+        elif cpp_leaf(g, inst.k, events, repeats,
+                      cutcount.derive_seed(seed, stats.dp_calls - 1), stats):
+            return True, None
+    return False, None
 
 
 def solve_cpcp(g: Graph, k: int, dp_allowed: bool = True) -> SolveOutcome:
     """Decide whether deleting at most k vertices leaves maximum degree <= 2;
     on yes, return a verifying deletion set of size <= k."""
-    driver = _Driver("cpcp", dp_allowed)
+    stats = SolveStats()
     if k < 0:
-        return SolveOutcome(False, None, driver.stats)
-    ans, wit = driver.run(Instance(g.copy(), k, set()))
-    if ans:
-        if len(wit) > k or not verify(g, wit, "cpcp"):
-            raise InternalSolverError("produced witness fails verification")
-        return SolveOutcome(True, wit, driver.stats)
-    return SolveOutcome(False, None, driver.stats)
+        return SolveOutcome(False, None, stats)
+    ans, wit = _search("cpcp", Instance(g.copy(), k, set()), stats, dp_allowed, 0, 0)
+    if ans and (len(wit) > k or not verify(g, wit, "cpcp")):
+        raise InternalSolverError("produced witness fails verification")
+    return SolveOutcome(ans, wit, stats)
 
 
 def solve_cpp(g: Graph, k: int, repeats: int = 10, seed: int = 0,
@@ -469,8 +426,8 @@ def solve_cpp(g: Graph, k: int, repeats: int = 10, seed: int = 0,
     Decision only. A yes is always correct; a no is wrong with probability at
     most (1/3)^repeats per cut & count leaf on yes-instances.
     """
-    driver = _Driver("cpp", dp_allowed, repeats=repeats, seed=seed)
+    stats = SolveStats()
     if k < 0:
-        return SolveOutcome(False, None, driver.stats)
-    ans, _ = driver.run(Instance(g.copy(), k, set()))
-    return SolveOutcome(ans, None, driver.stats)
+        return SolveOutcome(False, None, stats)
+    ans, _ = _search("cpp", Instance(g.copy(), k, set()), stats, dp_allowed, repeats, seed)
+    return SolveOutcome(ans, None, stats)

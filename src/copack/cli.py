@@ -46,8 +46,8 @@ class RunConfig:
             raise ValueError("unknown mode %r" % self.mode)
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
-        if not self.optimize and self.k is None:
-            raise ValueError("need -k or --optimize")
+        if self.optimize == (self.k is not None):
+            raise ValueError("need exactly one of -k and --optimize")
         if self.k is not None and self.k < 0:
             raise ValueError("k must be >= 0")
         if self.decomposition and not self.whole_dp:

@@ -31,9 +31,6 @@ class PathDecomposition:
                 out.append(b)
         return PathDecomposition(out)
 
-    def __eq__(self, other):
-        return isinstance(other, PathDecomposition) and self.bags == other.bags
-
     def __repr__(self):
         return "PathDecomposition(%r)" % ([sorted(b) for b in self.bags],)
 
@@ -72,9 +69,6 @@ class NiceEventSequence:
     def __init__(self, events, width):
         self.events = list(events)
         self.width = width
-
-    def __len__(self):
-        return len(self.events)
 
     def walk(self, g: Graph):
         """Replay the events over g, yielding (op, v, p, bag): bag is the sorted

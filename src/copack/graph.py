@@ -90,9 +90,6 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in self.vertices() for v in sorted(self._adj[u]) if u < v]
 
-    def max_degree(self) -> int:
-        return max((len(self._adj[v]) for v in range(self.size) if self._alive[v]), default=0)
-
     def max_degree_at_most(self, d: int) -> bool:
         if d < 0:
             raise ValueError("degree bound must be nonnegative")
@@ -117,9 +114,6 @@ class Graph:
                         stack.append(y)
             comps.append(sorted(comp))
         return comps
-
-    def isolated_count(self) -> int:
-        return sum(1 for v in range(self.size) if self._alive[v] and not self._adj[v])
 
     def is_linear_forest(self) -> bool:
         """True iff every component is an induced path (max degree <= 2, acyclic)."""

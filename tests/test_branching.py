@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from copack import graph as graphlib
+from copack import cutcount, graph as graphlib
 from copack.branching import (
     _REDUCTIONS,
     Instance,
+    _branch,
     branch_b1,
     branch_b2,
     reduce_cpcp,
@@ -14,7 +15,7 @@ from copack.branching import (
     solve_cpp,
     _pick_step,
 )
-from copack.errors import DpDisabledError
+from copack.errors import DpDisabledError, InternalSolverError
 from copack.generators import complete_graph, cycle_graph, gnm_graph, path_graph, planted_graph
 from copack.graph import Graph, find_pendant_chain, find_degree_two_path, find_low_degree_edge, find_triangle_single_neighbor
 from copack.oracles import oracle_min, verify
@@ -33,10 +34,19 @@ def test_branch_b1_counts():
         g = Graph.from_edges(d + 1, [(0, i) for i in range(1, d + 1)])
         bs = branch_b1(g, 0)
         assert len(bs.children) == 1 + d * (d - 1) // 2
-        decs = sorted(ch.decrement for ch in bs.children)
+        decs = sorted(len(ch) for ch in bs.children)
         assert decs == [1] + [d - 2] * (d * (d - 1) // 2)
     with pytest.raises(ValueError):
         branch_b1(path_graph(3), 1)
+
+
+def test_branch_checks_its_decrements():
+    bs = _branch("x", [{0}, [1, 2]], [2, 1])
+    assert bs.rule == "x" and bs.children == [frozenset({0}), frozenset({1, 2})]
+    with pytest.raises(InternalSolverError, match="branch decrements"):
+        _branch("x", [{0}, {1, 2}], [1, 1])
+    with pytest.raises(AssertionError):
+        _branch("x", [{0}, set()], [1, 0])  # sizes match, but a child deletes nothing
 
 
 def test_branch_b2_counts():
@@ -44,11 +54,11 @@ def test_branch_b2_counts():
     g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     bs = branch_b2(g, 0, 1)
     assert len(bs.children) == 4
-    assert sorted(ch.decrement for ch in bs.children) == [1, 2, 2, 2]
+    assert sorted(len(ch) for ch in bs.children) == [1, 2, 2, 2]
     g2 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
     bs = branch_b2(g2, 0, 1)
     assert len(bs.children) == 3
-    assert sorted(ch.decrement for ch in bs.children) == [1, 1, 1]
+    assert sorted(len(ch) for ch in bs.children) == [1, 1, 1]
     g3 = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 4)])
     with pytest.raises(ValueError):
         branch_b2(g3, 0, 1)  # 1 has a private neighbor, not dominated
@@ -74,7 +84,7 @@ def test_reduce_cpcp_triangle_rule():
     inst = inst_of(g, 2)
     reduce_cpcp(inst)
     assert 3 in inst.deleted
-    assert inst.graph.alive_count == 0 and not inst.exhausted
+    assert inst.graph.alive_count == 0 and inst.k >= 0
 
 
 def test_reduce_cpcp_edge_rule():
@@ -134,7 +144,7 @@ def test_reduce_cpp_examples():
 def test_reduce_budget_exhaustion_marker():
     inst = inst_of(complete_graph(4), 0)
     reduce_cpcp(inst)
-    assert inst.exhausted
+    assert inst.k < 0
 
 
 def _reference_reduce(inst, problem):
@@ -142,7 +152,7 @@ def _reference_reduce(inst, problem):
     (a long cycle costs 1 for cpp, 0 for cpcp), then the local rules; restart
     from the top after every firing."""
     g = inst.graph
-    while not inst.exhausted:
+    while inst.k >= 0:
         comps = graphlib.find_trivial_components(g)
         if comps:
             comp = comps[0]
@@ -183,8 +193,8 @@ def test_reduce_matches_component_first_reference():
             got, want = inst_of(g, k), inst_of(g, k)
             reduce(got)
             _reference_reduce(want, problem)
-            if got.exhausted or want.exhausted:
-                assert got.exhausted and want.exhausted, (t, problem)
+            if got.k < 0 or want.k < 0:
+                assert got.k < 0 and want.k < 0, (t, problem)
                 continue
             assert got.graph.vertices() == want.graph.vertices(), (t, problem)
             assert got.graph.edges() == want.graph.edges(), (t, problem)
@@ -252,6 +262,25 @@ def test_oracle_equivalence_cpp(rng):
             assert not (not out.answer and k >= mn), (t, k, mn, g.edges())
 
 
+def test_cpp_leaves_draw_consecutive_seeds(monkeypatch):
+    """The i-th cut & count leaf of a search gets derive_seed(seed, i); a leaf
+    the guard rejects draws no seed."""
+    seeds = []
+    decide = cutcount.decide_cpp
+
+    def recording(g, k, events, repeats, seed):
+        seeds.append(seed)
+        return decide(g, k, events, repeats, seed)
+
+    monkeypatch.setattr(cutcount, "decide_cpp", recording)
+    for g, k, leaves, rejects in ((planted_graph(48, 6, 1), 5, 5, 17), (planted_graph(30, 4, 0), 3, 2, 4)):
+        seeds.clear()
+        out = solve_cpp(g, k, repeats=2, seed=7)
+        assert not out.answer
+        assert (out.stats.dp_calls, out.stats.guard_rejects) == (leaves, rejects)
+        assert seeds == [cutcount.derive_seed(7, i) for i in range(leaves)]
+
+
 def test_branch_sets_are_exhaustive(rng):
     """Whenever a step fires on a yes-instance, some child stays a yes."""
     fired = 0
@@ -273,10 +302,10 @@ def test_branch_sets_are_exhaustive(rng):
             for k in range(mn, h.alive_count + 1):
                 ok = False
                 for ch in bs.children:
-                    if ch.decrement > k:
+                    if len(ch) > k:
                         continue
-                    h2 = h.without_vertices(ch.delete)
-                    if oracle_min(h2, problem) <= k - ch.decrement:
+                    h2 = h.without_vertices(ch)
+                    if oracle_min(h2, problem) <= k - len(ch):
                         ok = True
                         break
                 assert ok, (t, problem, bs.rule, k, h.edges())
@@ -299,7 +328,7 @@ def test_step4_uncovered_triangle_shape():
     assert inst.graph.alive_count == 9  # nothing reducible
     bs = _pick_step(inst.graph, "cpcp")
     assert bs is not None and bs.rule == "step4_dominated_deg2"
-    assert sorted(ch.decrement for ch in bs.children) == [1, 2, 2, 2]
+    assert sorted(len(ch) for ch in bs.children) == [1, 2, 2, 2]
     mn = oracle_min(g, "cpcp")
     for k in range(g.alive_count + 1):
         assert solve_cpcp(g, k).answer == (k >= mn)
@@ -314,7 +343,7 @@ def test_step4_case11_shape():
     assert inst.graph.alive_count == 9
     bs = _pick_step(inst.graph, "cpcp")
     assert bs is not None and bs.rule == "step4_case1.1"
-    assert sorted(tuple(sorted(ch.delete)) for ch in bs.children) == [(0,), (1, 4)]
+    assert sorted(tuple(sorted(ch)) for ch in bs.children) == [(0,), (1, 4)]
     mn = oracle_min(g, "cpcp")
     for k in range(g.alive_count + 1):
         assert solve_cpcp(g, k).answer == (k >= mn)
@@ -334,7 +363,7 @@ def test_step4_case22_and_23_shapes():
     assert inst.graph.alive_count == 9
     bs = _pick_step(inst.graph, "cpcp")
     assert bs.rule == "step4_case2.2"
-    assert sorted(ch.decrement for ch in bs.children) == [2] * 7
+    assert sorted(len(ch) for ch in bs.children) == [2] * 7
 
     # and degree 4 here
     g23 = Graph.from_edges(
@@ -347,7 +376,7 @@ def test_step4_case22_and_23_shapes():
     assert inst.graph.alive_count == 9
     bs = _pick_step(inst.graph, "cpcp")
     assert bs.rule == "step4_case2.3"
-    assert sorted(ch.decrement for ch in bs.children) == [2] * 7 + [3]
+    assert sorted(len(ch) for ch in bs.children) == [2] * 7 + [3]
 
     for g in (g22, g23):
         mn = oracle_min(g, "cpcp")
@@ -392,7 +421,7 @@ def test_fired_steps_match_documented_recurrences(rng):
             bs = _pick_step(inst.graph, problem)
             if bs is None:
                 continue
-            decs = sorted(ch.decrement for ch in bs.children)
+            decs = sorted(len(ch) for ch in bs.children)
             seen.add(bs.rule)
             if bs.rule == "step1":
                 d = max(decs)  # degree - 2

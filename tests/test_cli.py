@@ -143,6 +143,16 @@ def test_decomposition_needs_a_whole_graph_route(tmp_path, capsys):
         assert "nonexistent.pd" in capsys.readouterr().err
 
 
+def test_optimize_rejects_a_budget(tmp_path, capsys):
+    f = tmp_path / "planted.gr"
+    f.write_text(command_gen("planted", [], seed=0, forest_n=48, k=6))
+    assert main(["solve", "--problem", "cpcp", "-k", "0", "--optimize", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exactly one of -k and --optimize" in captured.err
+    assert main(["solve", "--problem", "cpcp", "--optimize", str(f)]) == 0
+    assert "min_size=6" in capsys.readouterr().out
+
+
 def test_main_exit_codes(tmp_path, capsys):
     f = tmp_path / "c6.gr"
     f.write_text(command_gen("cycle", [6]))
