@@ -49,6 +49,7 @@ from .oracles import (
     count_marked_cc_solutions,
     marked_cc_counts,
     oracle_min,
+    oracle_witness,
     verify,
 )
 

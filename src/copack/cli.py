@@ -19,7 +19,7 @@ from .decomp import decomposition_for, parse_decomposition, to_nice, validate
 from .dimacs import parse_graph, write_graph
 from .errors import DpDisabledError, GraphFormatError, SizeLimitError
 from .graph import Graph
-from .oracles import branching_factor, oracle_min
+from .oracles import branching_factor, oracle_witness, problem_bounds
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -44,6 +44,8 @@ class RunConfig:
             raise ValueError("--d is required for bdd and meaningless otherwise")
         if self.mode not in ("auto", "branch", "dp", "oracle"):
             raise ValueError("unknown mode %r" % self.mode)
+        if (self.problem, self.mode) == ("bdd", "branch"):
+            raise ValueError("bdd has no branching: use --mode auto, dp or oracle")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if self.optimize == (self.k is not None):
@@ -118,14 +120,14 @@ def _solve_decision(g: Graph, k: int, cfg: RunConfig, stats: SolveStats, events)
     the minimum on the exact routes or None). Given events, the graph's
     decomposition, the leaf DP runs on the whole graph."""
     if cfg.mode == "oracle":
-        mn = oracle_min(g, cfg.problem, cfg.d)
-        return k >= mn, None, mn
+        wit = oracle_witness(g, cfg.problem, cfg.d)
+        return len(wit) <= k, (wit if len(wit) <= k else None), len(wit)
     if events is not None:
         stats.dp_calls += 1
         stats.dp_width = max(stats.dp_width, events.width)
         if cfg.problem == "cpp":
             return cpp_leaf(g, k, events, cfg.repeats, cfg.seed, stats), None, None
-        mn, wit = bdd_dp_solve(g, events, 2 if cfg.problem == "cpcp" else cfg.d)
+        mn, wit = bdd_dp_solve(g, events, problem_bounds(cfg.problem, cfg.d)[0])
         return mn <= k, (wit if mn <= k else None), mn
     dp_allowed = cfg.mode != "branch"
     if cfg.problem == "cpcp":

@@ -15,6 +15,18 @@ Bag labels: deleted; kept degree-0 (side one by convention); kept degree-1 on
 side one; kept degree-1 on side two; kept degree-2 (no further edges can
 arrive, so the side no longer matters).
 
+Keep rule. An introduced vertex v may always be deleted. It may be kept
+unless that gives it more than two kept bag-neighbors, a degree-2 neighbor,
+or neighbors on both sides. Kept, v takes its degree-1 neighbors' side, or
+either side when every kept neighbor has degree 0 (whose side was only a
+convention, so its first edge fixes it to v's). Each degree-0 neighbor
+becomes degree-1 on v's side, each degree-1 neighbor becomes degree-2, and
+v gets the label of its kept-neighbor count. delta moves by
+#kept - 1 - #degree-0 neighbors, or by 0 when v keeps no neighbor. On side
+one each subset of v's new edges may be marked, which raises delta by its
+size and the weight by its edge weights. These moves depend on the bag
+labels alone, so each introduce computes them once per distinct labelling.
+
 The table is keyed (bag labels, delta, n_sat), where delta = m - (n - e - a)
 and n_sat = min(n, need) for the decision's need = #vertices - k. Every
 transition moves delta by a constant, and a state whose n_sat cannot reach
@@ -69,6 +81,30 @@ def _xor(table: dict, key, bits: int):
     table[key] = table.get(key, 0) ^ bits
 
 
+def _keep(labels: tuple, p: int, nbrs: list, ew: dict, wv: int) -> list:
+    """The keep rule's moves for the vertex of weight wv introduced at bag
+    position p, with bag-neighbors at positions nbrs and edge weight ew[i]
+    towards position i: (new labels, delta change, added weight) for each."""
+    kept = [i for i in nbrs if labels[i] != DEL]
+    ls = [labels[i] for i in kept]
+    if len(kept) > 2 or TWO in ls or (ONE1 in ls and ONE2 in ls):
+        return []
+    dd = len(kept) - 1 - ls.count(ISO) if kept else 0
+    sides = [s for s in (ONE1, ONE2) if s in ls] or ([ONE1, ONE2] if kept else [ONE1])
+    moves = []
+    for side in sides:
+        base = list(labels)
+        for i in kept:
+            base[i] = side if base[i] == ISO else TWO
+        base.insert(p, (ISO, side, TWO)[len(kept)])
+        marked = [(tuple(base), dd, wv)]
+        if side == ONE1:
+            for i in kept:
+                marked += [(nl, r + 1, w + ew[i]) for nl, r, w in marked]
+        moves += marked
+    return moves
+
+
 def parity_dp(g: Graph, events: NiceEventSequence, weights: WeightAssignment, need: int) -> dict:
     """{delta: bits} over the cc-candidates with at least `need` kept
     vertices: bit w of bits is the parity of the number of such candidates
@@ -80,58 +116,19 @@ def parity_dp(g: Graph, events: NiceEventSequence, weights: WeightAssignment, ne
         new: dict = {}
         if op == "introduce":
             intro_left -= 1
-            nbrs = [(i, bag[i]) for i in range(len(bag)) if bag[i] in g._adj[v]]
-            ew = {i: weights.edge_weights[(min(u, v), max(u, v))] for i, u in nbrs}
+            nbrs = [i for i in range(len(bag)) if bag[i] in g._adj[v]]
+            ew = {i: weights.edge_weights[(min(bag[i], v), max(bag[i], v))] for i in nbrs}
             wv = weights.vertex_weights[v]
+            memo: dict = {}  # labels -> (labels with v deleted, keep moves)
             for (labels, d, ns), bits in table.items():
-                _xor(new, (labels[:p] + (DEL,) + labels[p:], d, ns), bits)
-                kept = [(i, labels[i]) for i, _ in nbrs if labels[i] != DEL]
+                entry = memo.get(labels)
+                if entry is None:
+                    entry = memo[labels] = (labels[:p] + (DEL,) + labels[p:], _keep(labels, p, nbrs, ew, wv))
+                deleted, keeps = entry
+                _xor(new, (deleted, d, ns), bits)
                 ns += ns < need
-                bv = bits << wv
-                if len(kept) == 0:
-                    _xor(new, (labels[:p] + (ISO,) + labels[p:], d, ns), bv)
-                elif len(kept) == 1:
-                    i, l = kept[0]
-                    we = ew[i]
-                    base = list(labels)
-                    if l == ISO:
-                        # the neighbor's side was only a degree-0 convention;
-                        # its first edge fixes it to v's side
-                        base[i] = ONE1
-                        nl = tuple(base[:p]) + (ONE1,) + tuple(base[p:])
-                        _xor(new, (nl, d - 1, ns), bv)
-                        _xor(new, (nl, d, ns), bv << we)
-                        base[i] = ONE2
-                        nl = tuple(base[:p]) + (ONE2,) + tuple(base[p:])
-                        _xor(new, (nl, d - 1, ns), bv)
-                    elif l == ONE1:
-                        base[i] = TWO
-                        nl = tuple(base[:p]) + (ONE1,) + tuple(base[p:])
-                        _xor(new, (nl, d, ns), bv)
-                        _xor(new, (nl, d + 1, ns), bv << we)
-                    elif l == ONE2:
-                        base[i] = TWO
-                        nl = tuple(base[:p]) + (ONE2,) + tuple(base[p:])
-                        _xor(new, (nl, d, ns), bv)
-                    # l == TWO: no kept branch, the neighbor is saturated
-                elif len(kept) == 2:
-                    (i1, l1), (i2, l2) = kept
-                    if TWO in (l1, l2) or {l1, l2} == {ONE1, ONE2}:
-                        continue
-                    we1, we2 = ew[i1], ew[i2]
-                    d2 = d + 1 - (l1 == ISO) - (l2 == ISO)
-                    sides = (1, 2) if l1 == ISO and l2 == ISO else ((1,) if ONE1 in (l1, l2) else (2,))
-                    for side in sides:
-                        base = list(labels)
-                        one = ONE1 if side == 1 else ONE2
-                        base[i1] = one if l1 == ISO else TWO
-                        base[i2] = one if l2 == ISO else TWO
-                        nl = tuple(base[:p]) + (TWO,) + tuple(base[p:])
-                        _xor(new, (nl, d2, ns), bv)
-                        if side == 1:
-                            _xor(new, (nl, d2 + 1, ns), (bv << we1) ^ (bv << we2))
-                            _xor(new, (nl, d2 + 2, ns), bv << (we1 + we2))
-                # more than 2 kept bag-neighbors: v cannot be kept
+                for nl, dd, shift in keeps:
+                    _xor(new, (nl, d + dd, ns), bits << shift)
         else:
             for (labels, d, ns), bits in table.items():
                 _xor(new, (labels[:p] + labels[p + 1:], d, ns), bits)

@@ -1,4 +1,4 @@
-"""Undirected simple graphs with stable vertex ids and deletion masking."""
+"""Undirected simple graphs with stable vertex ids and vertex deletion."""
 
 from __future__ import annotations
 
@@ -12,22 +12,21 @@ TRIVIAL_COMPONENT_SIZE = 6
 class Graph:
     """Simple undirected graph on vertex ids 0..size-1.
 
-    Ids are never re-indexed: deleting a vertex marks it dead and detaches it
-    from the alive adjacency sets, so certificates produced deep inside a
-    search always refer to the original instance. Branch siblings work on
-    copies, never on shared mutable state.
+    Ids are never re-indexed: deleting a vertex drops its adjacency entry and
+    detaches it from its neighbors' sets, so certificates produced deep
+    inside a search always refer to the original instance. Vertices are
+    never added after construction, so the alive vertices iterate in id
+    order. Branch siblings work on copies, never on shared mutable state.
     """
 
-    __slots__ = ("size", "_alive", "_adj", "_m", "_alive_count")
+    __slots__ = ("size", "_adj", "_m")
 
     def __init__(self, n: int):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.size = n
-        self._alive = [True] * n
-        self._adj: list[set[int]] = [set() for _ in range(n)]
+        self._adj: dict[int, set[int]] = {v: set() for v in range(n)}
         self._m = 0
-        self._alive_count = n
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -39,31 +38,29 @@ class Graph:
     def copy(self) -> "Graph":
         g = Graph.__new__(Graph)
         g.size = self.size
-        g._alive = list(self._alive)
-        g._adj = [set(s) for s in self._adj]
+        g._adj = {v: set(s) for v, s in self._adj.items()}
         g._m = self._m
-        g._alive_count = self._alive_count
         return g
 
     # ------------------------------------------------------------- queries
 
     def is_alive(self, v: int) -> bool:
-        return 0 <= v < self.size and self._alive[v]
+        return v in self._adj
 
     def _check(self, v: int):
-        if not self.is_alive(v):
+        if v not in self._adj:
             raise ValueError("vertex %r is deleted or out of range" % (v,))
 
     @property
     def alive_count(self) -> int:
-        return self._alive_count
+        return len(self._adj)
 
     @property
     def edge_count(self) -> int:
         return self._m
 
     def vertices(self) -> list[int]:
-        return [v for v in range(self.size) if self._alive[v]]
+        return list(self._adj)
 
     def degree(self, v: int) -> int:
         self._check(v)
@@ -93,14 +90,14 @@ class Graph:
     def max_degree_at_most(self, d: int) -> bool:
         if d < 0:
             raise ValueError("degree bound must be nonnegative")
-        return all(len(self._adj[v]) <= d for v in range(self.size) if self._alive[v])
+        return all(len(nb) <= d for nb in self._adj.values())
 
     def components(self) -> list[list[int]]:
         """Connected components of the alive subgraph, each sorted, ordered by minimum."""
         seen = set()
         comps = []
-        for root in range(self.size):
-            if not self._alive[root] or root in seen:
+        for root in self._adj:
+            if root in seen:
                 continue
             comp = [root]
             seen.add(root)
@@ -162,10 +159,7 @@ class Graph:
         self._check(v)
         for u in self._adj[v]:
             self._adj[u].discard(v)
-        self._m -= len(self._adj[v])
-        self._adj[v] = set()
-        self._alive[v] = False
-        self._alive_count -= 1
+        self._m -= len(self._adj.pop(v))
 
     def remove_vertices(self, vs):
         for v in sorted(set(vs)):

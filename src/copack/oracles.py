@@ -15,6 +15,18 @@ COUNTER_LIMIT = 7
 PROBLEMS = ("cpcp", "cpp", "bdd")
 
 
+def problem_bounds(problem: str, d: int | None = None) -> tuple[int, bool]:
+    """(degree bound, acyclic) that deleting a solution must leave: cpcp
+    (2, False), cpp (2, True), bdd (d, False)."""
+    if problem == "bdd":
+        if d is None or d < 0:
+            raise ValueError("bdd needs d >= 0")
+        return d, False
+    if problem not in PROBLEMS:
+        raise ValueError("unknown problem %r" % (problem,))
+    return 2, problem == "cpp"
+
+
 def verify(g: Graph, s, problem: str, d: int | None = None) -> bool:
     """Does deleting s leave the required structure?
 
@@ -24,23 +36,9 @@ def verify(g: Graph, s, problem: str, d: int | None = None) -> bool:
     s = set(s)
     for v in s:
         g._check(v)
-    if problem == "bdd":
-        if d is None or d < 0:
-            raise ValueError("bdd verification needs d >= 0")
-        bound = d
-    elif problem == "cpcp":
-        bound = 2
-    elif problem == "cpp":
-        bound = 2
-    else:
-        raise ValueError("unknown problem %r" % (problem,))
-
+    bound, acyclic = problem_bounds(problem, d)
     rest = g.without_vertices(s)
-    if not rest.max_degree_at_most(bound):
-        return False
-    if problem == "cpp":
-        return rest.is_linear_forest()
-    return True
+    return rest.is_linear_forest() if acyclic else rest.max_degree_at_most(bound)
 
 
 def _subset_ok(adj_bits: list[int], keep_mask: int, bound: int, acyclic: bool) -> bool:
@@ -99,23 +97,17 @@ def min_deletion_set(g: Graph, verts, bound: int, acyclic: bool) -> tuple:
     raise AssertionError("unreachable: deleting all vertices always qualifies")
 
 
-def oracle_min(g: Graph, problem: str, d: int | None = None, limit: int = ORACLE_LIMIT) -> int:
-    """Exact minimum deletion-set size by subset enumeration in increasing size."""
+def oracle_witness(g: Graph, problem: str, d: int | None = None, limit: int = ORACLE_LIMIT) -> tuple:
+    """A minimum deletion set, by subset enumeration in increasing size."""
     verts = g.vertices()
-    n = len(verts)
-    if n > limit:
-        raise SizeLimitError("oracle limited to %d vertices, got %d" % (limit, n))
-    if problem == "bdd":
-        if d is None or d < 0:
-            raise ValueError("bdd oracle needs d >= 0")
-        bound, acyclic = d, False
-    elif problem == "cpcp":
-        bound, acyclic = 2, False
-    elif problem == "cpp":
-        bound, acyclic = 2, True
-    else:
-        raise ValueError("unknown problem %r" % (problem,))
-    return len(min_deletion_set(g, verts, bound, acyclic))
+    if len(verts) > limit:
+        raise SizeLimitError("oracle limited to %d vertices, got %d" % (limit, len(verts)))
+    return min_deletion_set(g, verts, *problem_bounds(problem, d))
+
+
+def oracle_min(g: Graph, problem: str, d: int | None = None, limit: int = ORACLE_LIMIT) -> int:
+    """Exact minimum deletion-set size."""
+    return len(oracle_witness(g, problem, d, limit))
 
 
 # ------------------------------------------------------- cut & count oracles

@@ -153,6 +153,37 @@ def test_optimize_rejects_a_budget(tmp_path, capsys):
     assert "min_size=6" in capsys.readouterr().out
 
 
+def test_bdd_rejects_branch_mode(tmp_path, capsys):
+    """bdd has no branching phase, so branch mode cannot disallow its DP."""
+    f = tmp_path / "g.gr"
+    f.write_text(write_graph(gnm_graph(8, 13, seed=5)))
+    assert main(["solve", "--problem", "bdd", "--d", "1", "--mode", "branch", "-k", "3", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error:") == 1
+    assert "bdd has no branching" in captured.err
+    for mode in ("auto", "dp", "oracle"):
+        assert main(["solve", "--problem", "bdd", "--d", "1", "--mode", mode, "-k", "3", str(f)]) in (0, 1)
+
+
+def test_oracle_records_carry_verified_witnesses(tmp_path):
+    """--mode oracle prints the minimum set it found, for every problem, and
+    no set when the budget is below it."""
+    from copack.generators import complete_graph
+    from copack.oracles import verify
+
+    for g in (complete_graph(7), gnm_graph(8, 13, seed=5)):
+        f = tmp_path / "g.gr"
+        f.write_text(write_graph(g))
+        for problem, d in (("cpcp", None), ("cpp", None), ("bdd", 1)):
+            rec, code = command_solve(RunConfig(problem=problem, d=d, optimize=True, mode="oracle"), str(f))
+            wit = {int(v) for v in rec["witness"].split(",")}
+            assert code == 0 and len(wit) == rec["min_size"] and verify(g, wit, problem, d)
+            below, code = command_solve(
+                RunConfig(problem=problem, d=d, k=rec["min_size"] - 1, mode="oracle"), str(f)
+            )
+            assert code == 1 and "witness" not in below
+
+
 def test_main_exit_codes(tmp_path, capsys):
     f = tmp_path / "c6.gr"
     f.write_text(command_gen("cycle", [6]))
