@@ -12,30 +12,19 @@ vertex count capped at the `need` a decision asks for.
 
 from copack import parity_dp, sample_weights, to_nice, exact_pathwidth, decide_cpp
 from copack.generators import cycle_graph, path_graph
-from copack.oracles import cc_candidate_counts
 
 g = path_graph(2)
 weights = sample_weights(g, seed=2)
 events = to_nice(exact_pathwidth(g)[1])
 print("single edge, weights", weights.vertex_weights, weights.edge_weights)
-counts = cc_candidate_counts(g, weights)
 for need in range(3):
     table = parity_dp(g, events, weights, need)
     print("need %d: odd (delta, weight) pairs from the DP:" % need)
     for delta, bits in sorted(table.items()):
         print("   delta %+d at weights %s" % (delta, [w for w in range(bits.bit_length()) if bits >> w & 1]))
-    # The brute-force counter, projected onto the same folded key, agrees.
-    folded = {}
-    for (a, n, e, w, m), c in counts.items():
-        if n >= need and c % 2:
-            folded[m - (n - e - a)] = folded.get(m - (n - e - a), 0) ^ (1 << w)
-    assert table == {d: bits for d, bits in folded.items() if bits}
-
-# The unmarked two-vertex shape is counted twice (its component may sit on
-# either side) and cancels; the marked one is the lone solution at need 2.
-both_kept_unmarked = (0, 2, 1, sum(weights.vertex_weights.values()), 0)
-print("\nunmarked full subgraph counted %d times -> parity 0"
-      % counts[both_kept_unmarked])
+# At need 2 only the marked edge survives, at weight 1 + 2 + 2 = 5: the
+# unmarked one is counted twice (its component may sit on either side) and
+# cancels.
 
 # Decisions: a cycle needs one deletion. Yes answers are sound, and repeating
 # with fresh weights drives the false-negative rate to (1/3)^repeats.

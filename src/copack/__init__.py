@@ -39,15 +39,10 @@ from .decomp import (
     write_decomposition,
 )
 from .dimacs import parse_graph, write_graph
-from .errors import DpDisabledError, GraphFormatError, InternalSolverError, SizeLimitError
+from .errors import GraphFormatError, InternalSolverError, SizeLimitError
 from .graph import Graph
 from .oracles import (
-    MarkedCcSolution,
     branching_factor,
-    cc_candidate_counts,
-    count_cc_candidates,
-    count_marked_cc_solutions,
-    marked_cc_counts,
     oracle_min,
     oracle_witness,
     verify,

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from . import cutcount, decomp, graph as graphlib
 from .bdd import bdd_dp_solve
-from .errors import DpDisabledError, InternalSolverError
+from .errors import InternalSolverError
 from .graph import Graph
 from .oracles import min_deletion_set, verify
 
@@ -360,8 +360,7 @@ def cpp_leaf(g: Graph, k: int, events, repeats: int, seed: int, stats: SolveStat
     return runs > 0
 
 
-def _search(problem: str, root: Instance, stats: SolveStats, dp_allowed: bool,
-            repeats: int, seed: int):
+def _search(problem: str, root: Instance, stats: SolveStats, repeats: int, seed: int):
     """Depth-first search over the branch tree, children in branch-set
     order. The stack holds (parent, child) pairs; a child is copied out of
     its parent only when popped. A leaf is a proper graph, solved by the
@@ -387,10 +386,6 @@ def _search(problem: str, root: Instance, stats: SolveStats, dp_allowed: bool,
             continue
         if not decomp.is_proper(g):
             raise InternalSolverError("branching left a non-proper graph: %s" % (g.edges(),))
-        if not dp_allowed:
-            raise DpDisabledError(
-                "a proper %d-vertex graph needs the decomposition DP" % g.alive_count
-            )
         if not decomp.guard_check(g, inst.k).ok:
             stats.guard_rejects += 1
             continue
@@ -407,20 +402,19 @@ def _search(problem: str, root: Instance, stats: SolveStats, dp_allowed: bool,
     return False, None
 
 
-def solve_cpcp(g: Graph, k: int, dp_allowed: bool = True) -> SolveOutcome:
+def solve_cpcp(g: Graph, k: int) -> SolveOutcome:
     """Decide whether deleting at most k vertices leaves maximum degree <= 2;
     on yes, return a verifying deletion set of size <= k."""
     stats = SolveStats()
     if k < 0:
         return SolveOutcome(False, None, stats)
-    ans, wit = _search("cpcp", Instance(g.copy(), k, set()), stats, dp_allowed, 0, 0)
+    ans, wit = _search("cpcp", Instance(g.copy(), k, set()), stats, 0, 0)
     if ans and (len(wit) > k or not verify(g, wit, "cpcp")):
         raise InternalSolverError("produced witness fails verification")
     return SolveOutcome(ans, wit, stats)
 
 
-def solve_cpp(g: Graph, k: int, repeats: int = 10, seed: int = 0,
-              dp_allowed: bool = True) -> SolveOutcome:
+def solve_cpp(g: Graph, k: int, repeats: int = 10, seed: int = 0) -> SolveOutcome:
     """Decide whether deleting at most k vertices leaves disjoint paths.
 
     Decision only. A yes is always correct; a no is wrong with probability at
@@ -429,5 +423,5 @@ def solve_cpp(g: Graph, k: int, repeats: int = 10, seed: int = 0,
     stats = SolveStats()
     if k < 0:
         return SolveOutcome(False, None, stats)
-    ans, _ = _search("cpp", Instance(g.copy(), k, set()), stats, dp_allowed, repeats, seed)
+    ans, _ = _search("cpp", Instance(g.copy(), k, set()), stats, repeats, seed)
     return SolveOutcome(ans, None, stats)

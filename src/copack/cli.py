@@ -17,7 +17,7 @@ from .bdd import bdd_dp_solve
 from .branching import SolveStats, cpp_leaf, solve_cpcp, solve_cpp
 from .decomp import decomposition_for, parse_decomposition, to_nice, validate
 from .dimacs import parse_graph, write_graph
-from .errors import DpDisabledError, GraphFormatError, SizeLimitError
+from .errors import GraphFormatError, SizeLimitError
 from .graph import Graph
 from .oracles import branching_factor, oracle_witness, problem_bounds
 
@@ -32,7 +32,7 @@ class RunConfig:
     d: int | None = None
     k: int | None = None
     optimize: bool = False
-    mode: str = "auto"  # auto | branch | dp | oracle
+    mode: str = "auto"  # auto | dp | oracle
     seed: int = 0
     repeats: int = 10
     decomposition: str | None = None
@@ -42,10 +42,8 @@ class RunConfig:
             raise ValueError("unknown problem %r" % self.problem)
         if (self.problem == "bdd") != (self.d is not None):
             raise ValueError("--d is required for bdd and meaningless otherwise")
-        if self.mode not in ("auto", "branch", "dp", "oracle"):
+        if self.mode not in ("auto", "dp", "oracle"):
             raise ValueError("unknown mode %r" % self.mode)
-        if (self.problem, self.mode) == ("bdd", "branch"):
-            raise ValueError("bdd has no branching: use --mode auto, dp or oracle")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if self.optimize == (self.k is not None):
@@ -129,11 +127,10 @@ def _solve_decision(g: Graph, k: int, cfg: RunConfig, stats: SolveStats, events)
             return cpp_leaf(g, k, events, cfg.repeats, cfg.seed, stats), None, None
         mn, wit = bdd_dp_solve(g, events, problem_bounds(cfg.problem, cfg.d)[0])
         return mn <= k, (wit if mn <= k else None), mn
-    dp_allowed = cfg.mode != "branch"
     if cfg.problem == "cpcp":
-        out = solve_cpcp(g, k, dp_allowed=dp_allowed)
+        out = solve_cpcp(g, k)
     else:
-        out = solve_cpp(g, k, cfg.repeats, cfg.seed, dp_allowed=dp_allowed)
+        out = solve_cpp(g, k, cfg.repeats, cfg.seed)
     stats.add(out.stats)
     return out.answer, out.witness, None
 
@@ -152,10 +149,11 @@ def command_solve(cfg: RunConfig, path: str):
     events = _events_for(g, cfg) if cfg.whole_dp else None
     calls = None  # decisions a binary search made
     if cfg.optimize and not _exact(cfg):
-        # decision-only routes binary-search the minimum
+        # decision-only routes binary-search the minimum; deleting every
+        # vertex is a valid cpcp set, kept only when no probe says yes
         lo, hi = 0, g.alive_count
         calls = 0
-        witness = None
+        witness = set(g.vertices()) if cfg.problem == "cpcp" else None
         while lo < hi:
             mid = (lo + hi) // 2
             calls += 1
@@ -165,8 +163,6 @@ def command_solve(cfg: RunConfig, path: str):
                 witness = wit
             else:
                 lo = mid + 1
-        if witness is None and cfg.problem == "cpcp":
-            _, witness, _ = _solve_decision(g, lo, cfg, stats, events)
         ans, mn = True, lo
     else:
         if not cfg.optimize:
@@ -229,7 +225,7 @@ def main(argv=None) -> int:
     ps.add_argument("--d", type=int, default=None, help="degree bound (bdd only)")
     ps.add_argument("-k", type=int, default=None)
     ps.add_argument("--optimize", action="store_true", help="find the minimum deletion size")
-    ps.add_argument("--mode", choices=("auto", "branch", "dp", "oracle"), default="auto")
+    ps.add_argument("--mode", choices=("auto", "dp", "oracle"), default="auto")
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--repeats", type=int, default=10)
     ps.add_argument("--decomposition", default=None, help="decomposition file to use as-is")
@@ -271,7 +267,7 @@ def main(argv=None) -> int:
                        ",".join(map(str, row["decrements"])))
                 )
             return EXIT_YES
-    except (GraphFormatError, SizeLimitError, DpDisabledError, ValueError, IndexError, OSError) as exc:
+    except (GraphFormatError, SizeLimitError, ValueError, IndexError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:

@@ -14,7 +14,3 @@ class GraphFormatError(ValueError):
 
 class InternalSolverError(AssertionError):
     """A structurally impossible case was reached; signals a solver bug, never swallowed."""
-
-
-class DpDisabledError(RuntimeError):
-    """A search leaf needed the decomposition DP but the run disallows it (mode=branch)."""

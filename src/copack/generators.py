@@ -8,6 +8,8 @@ import random
 from .decomp import is_proper
 from .graph import Graph
 
+PROPER_ATTEMPTS = 200  # seeded draws proper_graph tries before giving up
+
 
 def path_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
@@ -70,14 +72,14 @@ def planted_graph(forest_n: int, k: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def proper_graph(n: int, seed: int, max_attempts: int = 200) -> Graph:
+def proper_graph(n: int, seed: int) -> Graph:
     """Random connected proper graph on exactly n vertices: degree-3/4 hubs
     joined and decorated by short degree-<=2 connectors, so that degree-4
     vertices see only low-degree neighbors and every degree-2 vertex touches
     a hub."""
     if n < 6:
         raise ValueError("proper graphs need at least 6 vertices")
-    for attempt in range(max_attempts):
+    for attempt in range(PROPER_ATTEMPTS):
         rng = random.Random(seed * 1000003 + attempt)
         g = _try_proper(n, rng)
         if g is not None and is_proper(g) and g.alive_count == n and len(g.components()) == 1:

@@ -8,6 +8,10 @@ from itertools import combinations
 # step-4 shape analysis relies on no closed six-vertex component surviving.
 TRIVIAL_COMPONENT_SIZE = 6
 
+# cpp's contraction rule smooths paths of >= 4 edges (3+ interior vertices, so 2+
+# stay): a cycle hanging off one endpoint stays a triangle at least, never a double edge.
+DEGREE_TWO_PATH_MIN_EDGES = 4
+
 
 class Graph:
     """Simple undirected graph on vertex ids 0..size-1.
@@ -268,9 +272,9 @@ def find_low_degree_edge(g: Graph):
     return None
 
 
-def find_degree_two_path(g: Graph, min_edges: int = 4):
+def find_degree_two_path(g: Graph):
     """Path v0..vh whose endpoints have degree != 2 and whose h-1 internal
-    vertices all have degree 2, with h >= min_edges. The endpoints may
+    vertices all have degree 2, with h >= DEGREE_TWO_PATH_MIN_EDGES. The endpoints may
     coincide (a cycle hanging off one vertex)."""
     for v0 in g.vertices():
         if len(g._adj[v0]) == 2 or not g._adj[v0]:
@@ -284,7 +288,7 @@ def find_degree_two_path(g: Graph, min_edges: int = 4):
                 nxt = next(x for x in g._adj[cur] if x != prev)
                 seq.append(nxt)
                 prev, cur = cur, nxt
-            if len(seq) - 1 >= min_edges:
+            if len(seq) - 1 >= DEGREE_TWO_PATH_MIN_EDGES:
                 return tuple(seq)
     return None
 

@@ -26,18 +26,6 @@ def all_graphs(n):
         yield Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1])
 
 
-def fold_counts(counts, need):
-    """Brute-force cc-candidate counts keyed (a, n, e, w, m), projected onto
-    parity_dp's result: {m - (n - e - a): bits} over n >= need, where bit w
-    holds the parity at weight w and zero entries are dropped."""
-    out = {}
-    for (a, n, e, w, m), c in counts.items():
-        if n >= need and c % 2:
-            d = m - (n - e - a)
-            out[d] = out.get(d, 0) ^ (1 << w)
-    return {d: bits for d, bits in out.items() if bits}
-
-
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

@@ -21,13 +21,9 @@ from copack.graph import (
     find_trivial_components,
 )
 from copack.bdd import bdd_dp_solve
-from copack.oracles import (
-    cc_candidate_counts,
-    enumerate_marked_cc_solutions,
-    marked_cc_counts,
-    oracle_min,
-)
-from conftest import fold_counts, random_gnm
+from copack.oracles import oracle_min
+from cc_bruteforce import cc_candidate_counts, enumerate_marked_cc_solutions, fold_counts, marked_cc_counts
+from conftest import random_gnm
 
 
 def _report(name, ok, detail=""):

@@ -15,7 +15,7 @@ from copack.branching import (
     solve_cpp,
     _pick_step,
 )
-from copack.errors import DpDisabledError, InternalSolverError
+from copack.errors import InternalSolverError
 from copack.generators import complete_graph, cycle_graph, gnm_graph, path_graph, planted_graph
 from copack.graph import Graph, find_pendant_chain, find_degree_two_path, find_low_degree_edge, find_triangle_single_neighbor
 from copack.oracles import oracle_min, verify
@@ -444,14 +444,6 @@ def test_fired_steps_match_documented_recurrences(rng):
             else:
                 raise AssertionError(bs.rule)
     assert {"step1", "step2", "step*3"} <= seen
-
-
-def test_mode_branch_raises_when_dp_needed():
-    from copack.generators import proper_graph
-
-    g = proper_graph(10, seed=4)
-    with pytest.raises(DpDisabledError):
-        solve_cpcp(g, 5, dp_allowed=False)
 
 
 def test_stats_populated():

@@ -132,7 +132,7 @@ def test_decomposition_needs_a_whole_graph_route(tmp_path, capsys):
     f.write_text(command_gen("proper", [10]))
     pd = ["--decomposition", str(tmp_path / "nonexistent.pd")]
     for route in (["--problem", "cpcp", "-k", "0"],
-                  ["--problem", "cpp", "-k", "0", "--mode", "branch"],
+                  ["--problem", "cpp", "-k", "0"],
                   ["--problem", "bdd", "--d", "1", "-k", "0", "--mode", "oracle"]):
         assert main(["solve", str(f)] + route + pd) == 2
         assert "--decomposition needs" in capsys.readouterr().err
@@ -153,14 +153,37 @@ def test_optimize_rejects_a_budget(tmp_path, capsys):
     assert "min_size=6" in capsys.readouterr().out
 
 
+def test_cpcp_optimize_without_edges(tmp_path, capsys):
+    """Deleting every vertex, the binary search's starting witness, is the
+    answer only on the empty graph; one isolated vertex needs no deletion."""
+    f = tmp_path / "g.gr"
+    for text in ("p edge 0 0\n", "p edge 1 0\n"):
+        f.write_text(text)
+        assert main(["solve", "--problem", "cpcp", "--optimize", str(f)]) == 0
+        assert "answer=yes min_size=0 witness= " in capsys.readouterr().out
+
+
+def test_cpp_optimize_auto_matches_dp_past_oracle(tmp_path):
+    """Past the oracle's 14 vertices, cpp's search with cut & count leaves
+    and cut & count on the whole graph binary-search to the same minimum."""
+    from copack.generators import planted_graph
+
+    f = tmp_path / "g.gr"
+    for n, k, seed in ((16, 3, 0), (20, 3, 1), (24, 4, 2), (28, 4, 3)):
+        f.write_text(write_graph(planted_graph(n, k, seed)))
+        auto, dp = (command_solve(RunConfig(problem="cpp", optimize=True, mode=mode, seed=seed), str(f))[0]
+                    for mode in ("auto", "dp"))
+        assert auto["dp_calls"] > 0 and auto["min_size"] == dp["min_size"], (n, k, seed, auto, dp)
+
+
 def test_bdd_rejects_branch_mode(tmp_path, capsys):
-    """bdd has no branching phase, so branch mode cannot disallow its DP."""
+    """argparse rejects --mode branch, which no route has; bdd runs in the
+    other three modes."""
     f = tmp_path / "g.gr"
     f.write_text(write_graph(gnm_graph(8, 13, seed=5)))
-    assert main(["solve", "--problem", "bdd", "--d", "1", "--mode", "branch", "-k", "3", str(f)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count("error:") == 1
-    assert "bdd has no branching" in captured.err
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", "bdd", "--d", "1", "--mode=branch", "-k", "3", str(f)])
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
     for mode in ("auto", "dp", "oracle"):
         assert main(["solve", "--problem", "bdd", "--d", "1", "--mode", mode, "-k", "3", str(f)]) in (0, 1)
 
@@ -207,14 +230,6 @@ def test_cpp_solves_a_planted_graph_of_220_vertices(tmp_path, capsys):
     f.write_text(capsys.readouterr().out)
     assert main(["solve", "--problem", "cpp", "-k", "20", str(f)]) == 0
     assert "answer=yes" in capsys.readouterr().out
-
-
-def test_main_branch_mode_errors_on_proper_leaf(tmp_path, capsys):
-    from copack.generators import proper_graph
-
-    f = tmp_path / "p.gr"
-    f.write_text(write_graph(proper_graph(10, seed=4)))
-    assert main(["solve", "--problem", "cpcp", "-k", "5", "--mode", "branch", str(f)]) == 2
 
 
 def test_main_internal_error_exits_2(tmp_path, capsys, monkeypatch):

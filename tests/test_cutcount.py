@@ -13,13 +13,9 @@ from copack.cutcount import (
 from copack.decomp import exact_pathwidth, heuristic_pd, to_nice
 from copack.generators import cycle_graph, path_graph, proper_graph
 from copack.graph import Graph
-from copack.oracles import (
-    cc_candidate_counts,
-    enumerate_marked_cc_solutions,
-    marked_cc_counts,
-    oracle_min,
-)
-from conftest import fold_counts, random_graph
+from copack.oracles import oracle_min
+from cc_bruteforce import cc_candidate_counts, enumerate_marked_cc_solutions, fold_counts, marked_cc_counts
+from conftest import random_graph
 
 
 def events_for(g):

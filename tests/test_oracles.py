@@ -4,17 +4,14 @@ from copack.cutcount import sample_weights
 from copack.errors import SizeLimitError
 from copack.generators import complete_graph, cycle_graph, path_graph
 from copack.graph import Graph
-from copack.oracles import (
+from copack.oracles import branching_factor, min_deletion_set, oracle_min, verify
+from cc_bruteforce import (
     MarkedCcSolution,
-    branching_factor,
     cc_candidate_counts,
     count_cc_candidates,
     count_marked_cc_solutions,
     enumerate_marked_cc_solutions,
     marked_cc_counts,
-    min_deletion_set,
-    oracle_min,
-    verify,
 )
 from conftest import random_graph
 
