@@ -4,13 +4,13 @@ greedy fallback, the introduce/forget event form every DP consumes, and the
 text format."""
 
 from copack import (
+    PathDecomposition,
     exact_pathwidth,
     heuristic_pd,
     to_nice,
     validate,
     write_decomposition,
 )
-from copack.decomp import validate_events
 from copack.generators import cycle_graph, grid_graph, path_graph
 
 for name, g in (
@@ -24,13 +24,15 @@ for name, g in (
     print("%-9s pathwidth=%d   greedy width=%d" % (name, width, greedy.width))
 
 # Every decomposition turns into a sequence of introduce/forget events of the
-# same width; replaying them checks every property of a decomposition again.
+# same width. Every DP replays them with walk, which is also what validate
+# runs: it reports the first broken property (P1 vertices, P2 edges, P3
+# contiguity) and a witness, here an edge of C6 that no bag holds.
 g = cycle_graph(6)
 width, pd = exact_pathwidth(g)
 events = to_nice(pd)
 print("\nC6 events (width %d):" % events.width)
 print("  " + ", ".join("%s %d" % (op, v) for op, v in events.events))
-validate_events(g, events)  # raises ValueError on a bad sequence
+print("  last bag cut down to {5}: %s" % validate(g, PathDecomposition(pd.bags[:-1] + [{5}])))
 
 print("\nC6 decomposition on disk (vertices are 1-based in files):")
 print(write_decomposition(pd))

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from . import generators
 from .bdd import bdd_dp_solve
 from .branching import SolveStats, cpp_leaf, solve_cpcp, solve_cpp
-from .decomp import decomposition_for, parse_decomposition, to_nice, validate
+from .decomp import Violation, decomposition_for, parse_decomposition, to_nice, validate
 from .dimacs import parse_graph, write_graph
-from .errors import GraphFormatError, SizeLimitError
 from .graph import Graph
 from .oracles import branching_factor, oracle_witness, problem_bounds
 
@@ -102,7 +101,9 @@ def _events_for(g: Graph, cfg: RunConfig):
             pd = parse_decomposition(fh.read())
         bad = validate(g, pd)
         if bad is not None:
-            raise ValueError("supplied decomposition invalid: %s" % bad.message)
+            # name the witness as the file does, from 1
+            raise ValueError("supplied decomposition invalid: %s"
+                             % Violation(bad.prop, tuple(v + 1 for v in bad.witness)))
     else:
         pd = decomposition_for(g)
     return to_nice(pd)
@@ -187,27 +188,42 @@ def command_solve(cfg: RunConfig, path: str):
     return record, EXIT_YES if ans else EXIT_NO
 
 
+# positional parameters of each generator kind; planted takes --forest-n and --k
+GEN_PARAMS = {
+    "path": ("n",),
+    "cycle": ("n",),
+    "clique": ("n",),
+    "gnm": ("n", "m"),
+    "grid": ("rows", "cols"),
+    "planted": (),
+    "proper": ("n",),
+}
+
+
 def command_gen(kind: str, params, seed: int = 0, forest_n: int | None = None, k: int | None = None) -> str:
+    if kind not in GEN_PARAMS:
+        raise ValueError("unknown generator kind %r" % kind)
+    names = GEN_PARAMS[kind]
+    if len(params) != len(names):
+        raise ValueError("gen %s takes parameters (%s), got %d" % (kind, " ".join(names) or "none", len(params)))
     comments = []
     if kind == "path":
-        g = generators.path_graph(int(params[0]))
+        g = generators.path_graph(*params)
     elif kind == "cycle":
-        g = generators.cycle_graph(int(params[0]))
+        g = generators.cycle_graph(*params)
     elif kind == "clique":
-        g = generators.complete_graph(int(params[0]))
+        g = generators.complete_graph(*params)
     elif kind == "gnm":
-        g = generators.gnm_graph(int(params[0]), int(params[1]), seed)
+        g = generators.gnm_graph(*params, seed)
     elif kind == "grid":
-        g = generators.grid_graph(int(params[0]), int(params[1]))
+        g = generators.grid_graph(*params)
     elif kind == "planted":
         if forest_n is None or k is None:
             raise ValueError("planted needs --forest-n and --k")
         g = generators.planted_graph(forest_n, k, seed)
         comments.append("planted_k %d" % k)
-    elif kind == "proper":
-        g = generators.proper_graph(int(params[0]), seed)
-    else:
-        raise ValueError("unknown generator kind %r" % kind)
+    else:  # proper
+        g = generators.proper_graph(*params, seed)
     return write_graph(g, comments)
 
 
@@ -231,7 +247,7 @@ def main(argv=None) -> int:
     ps.add_argument("--decomposition", default=None, help="decomposition file to use as-is")
 
     pg = sub.add_parser("gen", help="emit a generated instance")
-    pg.add_argument("kind", choices=("path", "cycle", "clique", "gnm", "grid", "planted", "proper"))
+    pg.add_argument("kind", choices=tuple(GEN_PARAMS))
     pg.add_argument("params", nargs="*", type=int)
     pg.add_argument("--seed", type=int, default=0)
     pg.add_argument("--forest-n", type=int, default=None)
@@ -267,7 +283,7 @@ def main(argv=None) -> int:
                        ",".join(map(str, row["decrements"])))
                 )
             return EXIT_YES
-    except (GraphFormatError, SizeLimitError, ValueError, IndexError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # format, size-limit and decomposition errors are ValueErrors
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:

@@ -23,40 +23,30 @@ class PathDecomposition:
     def width(self) -> int:
         return max((len(b) for b in self.bags), default=0) - 1
 
-    def normalized(self) -> "PathDecomposition":
-        """Drop consecutive duplicate bags; keeps length <= 2n."""
-        out = []
-        for b in self.bags:
-            if not out or out[-1] != b:
-                out.append(b)
-        return PathDecomposition(out)
-
     def __repr__(self):
         return "PathDecomposition(%r)" % ([sorted(b) for b in self.bags],)
 
 
-@dataclass(frozen=True)
-class Violation:
-    prop: str  # "P1" | "P2" | "P3"
-    witness: tuple
-    message: str
+class Violation(ValueError):
+    """Decomposition property prop fails at witness, a vertex or, for P2, an
+    edge. P1: the bags hold exactly the graph's vertices; P2: some bag holds
+    both ends of each edge; P3: each vertex's bags are consecutive."""
+
+    def __init__(self, prop: str, witness: tuple):
+        where = "edge (%d, %d)" % witness if prop == "P2" else "vertex %d" % witness
+        super().__init__("%s fails at %s" % (prop, where))
+        self.prop = prop
+        self.witness = witness
 
 
 def validate(g: Graph, pd: PathDecomposition):
-    """None when all three decomposition properties hold, else the first Violation."""
-    alive = set(g.vertices())
-    union = set().union(*pd.bags) if pd.bags else set()
-    for v in sorted(union - alive):
-        return Violation("P1", (v,), "bag vertex %d is not an alive vertex" % v)
-    for v in sorted(alive - union):
-        return Violation("P1", (v,), "vertex %d appears in no bag" % v)
-    for u, v in g.edges():
-        if not any(u in b and v in b for b in pd.bags):
-            return Violation("P2", (u, v), "edge (%d, %d) is covered by no bag" % (u, v))
-    for v in sorted(alive):
-        idx = [i for i, b in enumerate(pd.bags) if v in b]
-        if idx and idx[-1] - idx[0] + 1 != len(idx):
-            return Violation("P3", (v,), "bag indices of vertex %d are not contiguous" % v)
+    """None when all three decomposition properties hold, else the
+    Violation of the first fault in walk order."""
+    try:
+        for _ in to_nice(pd).walk(g):
+            pass
+    except Violation as bad:
+        return bad
     return None
 
 
@@ -73,22 +63,24 @@ class NiceEventSequence:
     def walk(self, g: Graph):
         """Replay the events over g, yielding (op, v, p, bag): bag is the sorted
         bag before the event, valid until the next step, and p is v's position
-        in it. Raises ValueError on a dead vertex, a second introduce, a forget
-        outside the bag, an unknown op, a nonempty final bag, an alive vertex
-        never introduced, or an edge whose ends never share a bag."""
+        in it. Raises Violation at the first broken property: P1 for a dead
+        vertex or an alive one never introduced, P2 for an introduce after a
+        neighbor's forget, P3 for a second introduce. Raises ValueError on a
+        forget outside the bag, an unknown op or a nonempty final bag."""
         bag: list[int] = []
         introduced: set[int] = set()
         forgotten: set[int] = set()
         for op, v in self.events:
             if not g.is_alive(v):
-                raise ValueError("event vertex %d is not alive" % v)
+                raise Violation("P1", (v,))
             p = bisect_left(bag, v)
             if op == "introduce":
                 if v in introduced:
-                    raise ValueError("vertex %d introduced twice" % v)
+                    raise Violation("P3", (v,))
                 missed = g._adj[v] & forgotten
                 if missed:
-                    raise ValueError("vertex %d introduced after its neighbor %d was forgotten" % (v, min(missed)))
+                    u = min(missed)
+                    raise Violation("P2", (min(u, v), max(u, v)))
                 introduced.add(v)
                 yield op, v, p, bag
                 bag.insert(p, v)
@@ -103,7 +95,7 @@ class NiceEventSequence:
         if bag:
             raise ValueError("events leave a nonempty bag: %s" % bag)
         if g.alive_count != len(introduced):
-            raise ValueError("events never introduce: %s" % sorted(set(g.vertices()) - introduced))
+            raise Violation("P1", (min(set(g.vertices()) - introduced),))
 
 
 def to_nice(pd: PathDecomposition) -> NiceEventSequence:
@@ -115,25 +107,13 @@ def to_nice(pd: PathDecomposition) -> NiceEventSequence:
     """
     events = []
     prev: frozenset = frozenset()
-    peak = 0
-    cur = 0
     for bag in list(pd.bags) + [frozenset()]:
         for v in sorted(prev - bag):
             events.append(("forget", v))
-            cur -= 1
         for v in sorted(bag - prev):
             events.append(("introduce", v))
-            cur += 1
-            peak = max(peak, cur)
         prev = bag
-    return NiceEventSequence(events, peak - 1)
-
-
-def validate_events(g: Graph, ev: NiceEventSequence):
-    """Raise ValueError unless replaying the events gives a valid
-    decomposition of g."""
-    for _ in ev.walk(g):
-        pass
+    return NiceEventSequence(events, pd.width)
 
 
 # ----------------------------------------------------------- exact width
@@ -190,13 +170,13 @@ def _separated_layout(adj_masks: list[int], cap: int, dead: bytearray):
     return order if extend(0, 0) else None
 
 
-def exact_pathwidth(g: Graph, limit: int = EXACT_PATHWIDTH_LIMIT):
+def exact_pathwidth(g: Graph):
     """(pathwidth, optimal decomposition) by a width-bounded layout search,
     whose cost grows with the width."""
     verts = g.vertices()
     n = len(verts)
-    if n > limit:
-        raise SizeLimitError("exact pathwidth limited to %d vertices, got %d" % (limit, n))
+    if n > EXACT_PATHWIDTH_LIMIT:
+        raise SizeLimitError("exact pathwidth limited to %d vertices, got %d" % (EXACT_PATHWIDTH_LIMIT, n))
     pos = {v: i for i, v in enumerate(verts)}
     adj_masks = [sum(1 << pos[u] for u in g._adj[v]) for v in verts]
     pd = _layout_to_decomposition(g, verts)
@@ -220,7 +200,7 @@ def _layout_to_decomposition(g: Graph, order: list[int]) -> PathDecomposition:
         bag.add(v)
         bags.append(bag)
         placed.add(v)
-    return PathDecomposition(bags).normalized()
+    return PathDecomposition(bags)
 
 
 def heuristic_pd(g: Graph) -> PathDecomposition:
@@ -280,7 +260,6 @@ def is_proper(g: Graph) -> bool:
 class GuardReport:
     n3: int
     n4: int
-    n_ge5: int
     vertex_bound_ok: bool  # |V| <= 100 k
     weight_bound_ok: bool  # n3/6 + n4/3 <= 2k/3
 
@@ -293,19 +272,16 @@ def guard_check(g: Graph, k: int) -> GuardReport:
     """Fast no-instance test for proper graphs: any deletion set of size <= k
     forces |V| <= 100k and n3/6 + n4/3 <= 2k/3 (compared in integers as
     n3 + 2*n4 <= 4k)."""
-    n3 = n4 = n_ge5 = 0
+    n3 = n4 = 0
     for v in g.vertices():
         d = len(g._adj[v])
         if d == 3:
             n3 += 1
         elif d == 4:
             n4 += 1
-        elif d >= 5:
-            n_ge5 += 1
     return GuardReport(
         n3=n3,
         n4=n4,
-        n_ge5=n_ge5,
         vertex_bound_ok=g.alive_count <= 100 * k,
         weight_bound_ok=n3 + 2 * n4 <= 4 * k,
     )

@@ -81,6 +81,18 @@ def test_command_gen_kinds(tmp_path):
         command_gen("mystery", [3])
 
 
+def test_gen_checks_its_parameter_count(capsys):
+    for argv, needs in ((["gnm", "3"], "(n m), got 1"),
+                        (["path"], "(n), got 0"),
+                        (["planted", "4", "--forest-n", "6", "--k", "1"], "(none), got 1")):
+        assert main(["gen"] + argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: gen %s takes parameters %s\n" % (argv[0], needs)
+    with pytest.raises(SystemExit):
+        main(["gen", "mystery", "3"])
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_command_solve_records(tmp_path):
     k5 = tmp_path / "k5.gr"
     k5.write_text(command_gen("clique", [5]))
@@ -125,6 +137,20 @@ def test_command_solve_decomposition_file(tmp_path):
     from copack.oracles import oracle_min
 
     assert rec["min_size"] == oracle_min(g, "cpcp")
+
+
+def test_invalid_decomposition_file_names_property_in_file_numbering(tmp_path, capsys):
+    gf = tmp_path / "p3.gr"
+    gf.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+    for bags, fault in (("b 1 1 2\nb 2 3\n", "P2 fails at edge (2, 3)"),
+                        ("b 1 2 3\nb 2 3\n", "P1 fails at vertex 1"),
+                        ("b 1 1 2\nb 2 2 3 4\n", "P1 fails at vertex 4"),
+                        ("b 1 1 2\nb 2 2 3\nb 3 1\n", "P3 fails at vertex 1")):
+        df = tmp_path / "p3.pd"
+        size = max(len(line.split()) - 2 for line in bags.splitlines())
+        df.write_text("p pd %d %d 3\n" % (bags.count("\n"), size) + bags)
+        assert main(["solve", "--problem", "cpcp", "-k", "1", "--mode", "dp", "--decomposition", str(df), str(gf)]) == 2
+        assert capsys.readouterr().err == "error: supplied decomposition invalid: %s\n" % fault
 
 
 def test_decomposition_needs_a_whole_graph_route(tmp_path, capsys):

@@ -8,6 +8,7 @@ from copack.decomp import (
     GuardReport,
     NiceEventSequence,
     PathDecomposition,
+    Violation,
     decomposition_for,
     exact_pathwidth,
     guard_check,
@@ -16,7 +17,6 @@ from copack.decomp import (
     parse_decomposition,
     to_nice,
     validate,
-    validate_events,
     write_decomposition,
 )
 from copack.errors import GraphFormatError, SizeLimitError
@@ -29,20 +29,27 @@ def test_validate_examples():
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
     ok = PathDecomposition([{0, 1}, {1, 2}])
     assert validate(p3, ok) is None and ok.width == 1
-    bad2 = validate(p3, PathDecomposition([{0, 1}, {2}]))
-    assert bad2 is not None and bad2.prop == "P2" and bad2.witness == (1, 2)
     g3 = Graph.from_edges(3, [(0, 2)])
-    bad3 = validate(g3, PathDecomposition([{0}, {1}, {0, 2}]))
-    assert bad3 is not None and bad3.prop == "P3" and bad3.witness == (0,)
-    bad1 = validate(p3, PathDecomposition([{0, 1}]))
-    assert bad1 is not None and bad1.prop == "P1"
+    p2 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    p2.remove_vertex(2)
+    # one fault each; the walk names its property and witness
+    for g, bags, prop, witness in (
+        (p3, [{0, 1}, {1, 2, 3}], "P1", (3,)),  # a bag vertex outside the graph
+        (p2, [{0, 1}, {1, 2}], "P1", (2,)),  # a deleted bag vertex
+        (p3, [{0, 1}], "P1", (2,)),  # a vertex in no bag
+        (p3, [{0, 1}, {2}], "P2", (1, 2)),
+        (g3, [{0}, {1}, {0, 2}], "P3", (0,)),
+    ):
+        bad = validate(g, PathDecomposition(bags))
+        assert isinstance(bad, Violation) and isinstance(bad, ValueError)
+        assert (bad.prop, bad.witness) == (prop, witness), bags
 
 
 def test_to_nice_examples():
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
     ev = to_nice(PathDecomposition([{0, 1}, {1, 2}]))
     assert ev.width == 1
-    validate_events(p3, ev)
+    assert [op for op, *_ in ev.walk(p3)] == ["introduce", "introduce", "forget", "introduce", "forget", "forget"]
     single = to_nice(PathDecomposition([{0}]))
     assert single.events == [("introduce", 0), ("forget", 0)]
 
@@ -62,9 +69,7 @@ def test_to_nice_preserves_width(rng):
             placed.add(v)
         pd = PathDecomposition(bags)
         assert validate(g, pd) is None
-        ev = to_nice(pd)
-        assert ev.width == pd.width
-        validate_events(g, ev)
+        assert to_nice(pd).width == pd.width
 
 
 def test_exact_pathwidth_small_families():
@@ -168,7 +173,7 @@ def test_decomposition_for_is_exact_per_component():
 
 def test_exact_pathwidth_limit():
     with pytest.raises(SizeLimitError):
-        exact_pathwidth(Graph(12), limit=10)
+        exact_pathwidth(Graph(EXACT_PATHWIDTH_LIMIT + 1))
 
 
 def test_heuristic_examples():
@@ -198,11 +203,10 @@ def test_guard_check():
     degs = [g.degree(v) for v in g.vertices()]
     assert rep.n3 == sum(1 for d in degs if d == 3)
     assert rep.n4 == sum(1 for d in degs if d == 4)
-    assert rep.n_ge5 == 0
     rep0 = guard_check(g, 0)
     assert not rep0.vertex_bound_ok
     # n3 = 0, n4 = 3, k = 1: 0/6 + 3/3 = 1 > 2/3
-    fake = GuardReport(n3=0, n4=3, n_ge5=0, vertex_bound_ok=True, weight_bound_ok=0 + 2 * 3 <= 4 * 1)
+    fake = GuardReport(n3=0, n4=3, vertex_bound_ok=True, weight_bound_ok=0 + 2 * 3 <= 4 * 1)
     assert not fake.weight_bound_ok
 
 
@@ -215,15 +219,23 @@ def test_is_proper():
     assert not is_proper(small)  # component of 3
 
 
-def test_validate_events():
+def test_walk_rejects_bad_event_lists():
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
-    ev = to_nice(PathDecomposition([{0, 1}, {1, 2}]))
-    validate_events(p3, ev)
     bad = NiceEventSequence(
         [("introduce", 0), ("forget", 0), ("introduce", 1), ("forget", 1),
          ("introduce", 2), ("forget", 2)], 0)
-    with pytest.raises(ValueError):
-        validate_events(p3, bad)  # edges never share a bag
+    with pytest.raises(Violation) as exc:
+        list(bad.walk(p3))  # edges never share a bag
+    assert (exc.value.prop, exc.value.witness) == ("P2", (0, 1))
+    # faults only a hand-built list can have are plain ValueErrors
+    for events in (
+        [("introduce", 0), ("forget", 1)],
+        [("introduce", 0), ("move", 0)],
+        [("introduce", 0), ("introduce", 1), ("introduce", 2), ("forget", 0)],
+    ):
+        with pytest.raises(ValueError) as exc:
+            list(NiceEventSequence(events, 2).walk(p3))
+        assert not isinstance(exc.value, Violation)
 
 
 def test_decomposition_roundtrip(rng):
