@@ -40,8 +40,8 @@ class SolveStats:
     nodes: int = 0
     reductions: int = 0
     dp_calls: int = 0
-    dp_width: int = -1
-    repeats_used: int = 0
+    width: int = -1
+    repeats: int = 0
     guard_rejects: int = 0
 
     def add(self, other: SolveStats):
@@ -49,8 +49,8 @@ class SolveStats:
         self.nodes += other.nodes
         self.reductions += other.reductions
         self.dp_calls += other.dp_calls
-        self.dp_width = max(self.dp_width, other.dp_width)
-        self.repeats_used += other.repeats_used
+        self.width = max(self.width, other.width)
+        self.repeats += other.repeats
         self.guard_rejects += other.guard_rejects
 
 
@@ -356,7 +356,7 @@ def cpp_leaf(g: Graph, k: int, events, repeats: int, seed: int, stats: SolveStat
     """Cut & count at budget k with up to `repeats` weightings derived from
     `seed`; stops at the first yes and counts the runs it made into stats."""
     runs = cutcount.decide_cpp(g, k, events, repeats, seed)
-    stats.repeats_used += runs or repeats
+    stats.repeats += runs or repeats
     return runs > 0
 
 
@@ -391,7 +391,7 @@ def _search(problem: str, root: Instance, stats: SolveStats, repeats: int, seed:
             continue
         events = decomp.to_nice(decomp.decomposition_for(g))
         stats.dp_calls += 1
-        stats.dp_width = max(stats.dp_width, events.width)
+        stats.width = max(stats.width, events.width)
         if problem == "cpcp":
             size, wit = bdd_dp_solve(g, events, 2)
             if size <= inst.k:

@@ -10,15 +10,16 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import generators
 from .bdd import bdd_dp_solve
 from .branching import SolveStats, cpp_leaf, solve_cpcp, solve_cpp
 from .decomp import Violation, decomposition_for, parse_decomposition, to_nice, validate
 from .dimacs import parse_graph, write_graph
+from .errors import InternalSolverError
 from .graph import Graph
-from .oracles import branching_factor, oracle_witness, problem_bounds
+from .oracles import branching_factor, oracle_witness, problem_bounds, verify
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -117,23 +118,24 @@ def _exact(cfg: RunConfig) -> bool:
 def _solve_decision(g: Graph, k: int, cfg: RunConfig, stats: SolveStats, events):
     """One solve at budget k, counted into stats: (answer, witness or None,
     the minimum on the exact routes or None). Given events, the graph's
-    decomposition, the leaf DP runs on the whole graph."""
+    decomposition, the leaf DP runs on the whole graph. An exact route's
+    witness must verify, or the solver is at fault."""
     if cfg.mode == "oracle":
         wit = oracle_witness(g, cfg.problem, cfg.d)
-        return len(wit) <= k, (wit if len(wit) <= k else None), len(wit)
-    if events is not None:
+        mn = len(wit)
+    elif events is not None:
         stats.dp_calls += 1
-        stats.dp_width = max(stats.dp_width, events.width)
+        stats.width = max(stats.width, events.width)
         if cfg.problem == "cpp":
             return cpp_leaf(g, k, events, cfg.repeats, cfg.seed, stats), None, None
         mn, wit = bdd_dp_solve(g, events, problem_bounds(cfg.problem, cfg.d)[0])
-        return mn <= k, (wit if mn <= k else None), mn
-    if cfg.problem == "cpcp":
-        out = solve_cpcp(g, k)
     else:
-        out = solve_cpp(g, k, cfg.repeats, cfg.seed)
-    stats.add(out.stats)
-    return out.answer, out.witness, None
+        out = solve_cpcp(g, k) if cfg.problem == "cpcp" else solve_cpp(g, k, cfg.repeats, cfg.seed)
+        stats.add(out.stats)
+        return out.answer, out.witness, None
+    if len(wit) != mn or not verify(g, wit, cfg.problem, cfg.d):
+        raise InternalSolverError("exact witness of size %d fails verification" % mn)
+    return mn <= k, (wit if mn <= k else None), mn
 
 
 def command_solve(cfg: RunConfig, path: str):
@@ -176,14 +178,7 @@ def command_solve(cfg: RunConfig, path: str):
         record["fail_bound"] = "%.3g" % (calls * (1.0 / 3.0) ** cfg.repeats)
     if witness is not None:
         record["witness"] = ",".join(str(v) for v in sorted(witness))
-    record.update(
-        nodes=stats.nodes,
-        reductions=stats.reductions,
-        dp_calls=stats.dp_calls,
-        width=stats.dp_width,
-        repeats=stats.repeats_used,
-        guard_rejects=stats.guard_rejects,
-    )
+    record.update(asdict(stats))
     record["elapsed"] = "%.3f" % (time.monotonic() - start)
     return record, EXIT_YES if ans else EXIT_NO
 

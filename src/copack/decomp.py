@@ -5,6 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
+from .dimacs import check_count, read_lines
 from .errors import GraphFormatError, SizeLimitError
 from .graph import Graph
 
@@ -296,7 +297,7 @@ def guard_check(g: Graph, k: int) -> GuardReport:
 def write_decomposition(pd: PathDecomposition) -> str:
     n_bags = len(pd.bags)
     max_size = max((len(b) for b in pd.bags), default=0)
-    n_verts = len(set().union(*pd.bags)) if pd.bags else 0
+    n_verts = len(set().union(*pd.bags))
     lines = ["p pd %d %d %d" % (n_bags, max_size, n_verts)]
     for i, bag in enumerate(pd.bags, start=1):
         lines.append(" ".join(["b", str(i)] + [str(v + 1) for v in sorted(bag)]))
@@ -304,42 +305,17 @@ def write_decomposition(pd: PathDecomposition) -> str:
 
 
 def parse_decomposition(text: str) -> PathDecomposition:
-    header = None
+    lines = read_lines(text, "p pd <n_bags> <max_bag_size> <n_vertices>", "b")
+    header_ln, _, (n_bags, max_size, n_verts) = next(lines)
     bags = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if header is not None:
-                raise GraphFormatError("duplicate header", ln)
-            if len(parts) != 5 or parts[1] != "pd":
-                raise GraphFormatError("expected 'p pd <n_bags> <max_bag_size> <n_vertices>'", ln)
-            try:
-                header = tuple(int(x) for x in parts[2:])
-            except ValueError:
-                raise GraphFormatError("non-integer header field", ln)
-        elif parts[0] == "b":
-            if header is None:
-                raise GraphFormatError("bag before header", ln)
-            try:
-                idx = int(parts[1])
-                vs = [int(x) for x in parts[2:]]
-            except (ValueError, IndexError):
-                raise GraphFormatError("malformed bag line", ln)
-            if idx != len(bags) + 1:
-                raise GraphFormatError("bag index %d out of order" % idx, ln)
-            if any(v < 1 for v in vs):
-                raise GraphFormatError("vertices are 1-based", ln)
-            bags.append(frozenset(v - 1 for v in vs))
-        else:
-            raise GraphFormatError("unrecognized line %r" % line, ln)
-    if header is None:
-        raise GraphFormatError("missing header")
-    n_bags, max_size, _ = header
-    if n_bags != len(bags):
-        raise GraphFormatError("header declares %d bags, found %d" % (n_bags, len(bags)))
-    if bags and max(len(b) for b in bags) != max_size:
-        raise GraphFormatError("header max bag size %d does not match bags" % max_size)
-    return PathDecomposition(bags)
+    for ln, _, nums in lines:
+        if nums[:1] != [len(bags) + 1]:
+            raise GraphFormatError("expected 'b %d <v1> <v2> ...'" % (len(bags) + 1), ln)
+        if any(v < 1 for v in nums[1:]):
+            raise GraphFormatError("vertices are 1-based", ln)
+        bags.append(frozenset(v - 1 for v in nums[1:]))
+    pd = PathDecomposition(bags)
+    check_count(header_ln, "bags", n_bags, len(bags))
+    check_count(header_ln, "vertices in the largest bag", max_size, pd.width + 1)
+    check_count(header_ln, "vertices", n_verts, len(set().union(*bags)))
+    return pd

@@ -1,5 +1,7 @@
-"""DIMACS-like graph text: `c` comments, `p edge <n> <m>` header, `e <u> <v>`
-edge lines with 1-based vertices."""
+"""DIMACS-like text. Blank lines and `c` comment lines are skipped; one
+`p <kind> ...` header of integer fields comes before every other line, and
+each other line is a tag and integers. Graphs are `p edge <n> <m>` and one
+`e <u> <v>` line per edge, with 1-based vertices."""
 
 from __future__ import annotations
 
@@ -12,54 +14,70 @@ from .graph import Graph
 MAX_VERTICES = 100_000
 
 
-def parse_graph(text: str) -> Graph:
-    g = None
-    declared_m = 0
-    seen_edges = 0
+def read_lines(text: str, header: str, tag: str):
+    """Yield (line number, tag, integers) for each line of a format whose
+    header reads like `header` (e.g. "p edge <n> <m>") and whose other lines
+    start with `tag`. The header comes first, with tag "p"; a missing, late
+    or duplicate header, another tag or a non-integer field raises
+    GraphFormatError."""
+    _, kind, *names = header.split()
+    seen = False
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "p":
-            if g is not None:
+        if parts[0] == tag and seen:
+            fields = parts[1:]
+        elif parts[0].startswith("c"):
+            continue
+        elif parts[0] == "p":
+            if seen:
                 raise GraphFormatError("duplicate header", ln)
-            if len(parts) != 4 or parts[1] != "edge":
-                raise GraphFormatError("expected 'p edge <n> <m>'", ln)
-            try:
-                n, declared_m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise GraphFormatError("non-integer header field", ln)
-            if n < 0 or declared_m < 0:
-                raise GraphFormatError("negative counts in header", ln)
-            if n > MAX_VERTICES:
-                raise SizeLimitError(
-                    "line %d: header declares %d vertices, the limit is %d" % (ln, n, MAX_VERTICES)
-                )
-            g = Graph(n)
-        elif parts[0] == "e":
-            if g is None:
-                raise GraphFormatError("edge before header", ln)
-            if len(parts) != 3:
-                raise GraphFormatError("expected 'e <u> <v>'", ln)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise GraphFormatError("non-integer vertex", ln)
-            if not (1 <= u <= g.size and 1 <= v <= g.size):
-                raise GraphFormatError("vertex out of range 1..%d" % g.size, ln)
-            if u == v:
-                raise GraphFormatError("self-loop at vertex %d" % u, ln)
-            if g.has_edge(u - 1, v - 1):
-                raise GraphFormatError("duplicate edge (%d, %d)" % (u, v), ln)
-            g.add_edge(u - 1, v - 1)
-            seen_edges += 1
+            if len(parts) != len(names) + 2 or parts[1] != kind:
+                raise GraphFormatError("expected '%s'" % header, ln)
+            seen = True
+            fields = parts[2:]
+        elif parts[0] == tag:
+            raise GraphFormatError("'%s' line before header" % tag, ln)
         else:
-            raise GraphFormatError("unrecognized line %r" % line, ln)
-    if g is None:
-        raise GraphFormatError("missing 'p edge' header")
-    if seen_edges != declared_m:
-        raise GraphFormatError("header declares %d edges, found %d" % (declared_m, seen_edges))
+            raise GraphFormatError("unrecognized line %r" % raw.strip(), ln)
+        try:
+            nums = list(map(int, fields))
+        except ValueError:
+            raise GraphFormatError("non-integer field", ln) from None
+        yield ln, parts[0], nums
+    if not seen:
+        raise GraphFormatError("missing '%s' header" % header)
+
+
+def check_count(ln: int, what: str, declared: int, found: int):
+    """Raise unless the header at line ln declared as many `what` as found."""
+    if declared != found:
+        raise GraphFormatError("header declares %d %s, found %d" % (declared, what, found), ln)
+
+
+def parse_graph(text: str) -> Graph:
+    lines = read_lines(text, "p edge <n> <m>", "e")
+    header_ln, _, (n, m) = next(lines)
+    if n < 0 or m < 0:
+        raise GraphFormatError("negative counts in header", header_ln)
+    if n > MAX_VERTICES:
+        raise SizeLimitError(
+            "line %d: header declares %d vertices, the limit is %d" % (header_ln, n, MAX_VERTICES)
+        )
+    g = Graph(n)
+    for ln, _, vs in lines:
+        if len(vs) != 2:
+            raise GraphFormatError("expected 'e <u> <v>'", ln)
+        u, v = vs
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise GraphFormatError("vertex out of range 1..%d" % n, ln)
+        if u == v:
+            raise GraphFormatError("self-loop at vertex %d" % u, ln)
+        if g.has_edge(u - 1, v - 1):
+            raise GraphFormatError("duplicate edge (%d, %d)" % (u, v), ln)
+        g.add_edge(u - 1, v - 1)
+    check_count(header_ln, "edges", m, g.edge_count)
     return g
 
 

@@ -3,20 +3,15 @@ from itertools import combinations
 
 import pytest
 
+from copack.generators import gnm_graph
 from copack.graph import Graph
-
-
-def random_gnm(n, m, seed):
-    rng = random.Random(seed)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return Graph.from_edges(n, rng.sample(pairs, m))
 
 
 def random_graph(seed, n_lo=4, n_hi=9):
     rng = random.Random(seed)
     n = rng.randint(n_lo, n_hi)
     m = rng.randint(0, n * (n - 1) // 2)
-    return random_gnm(n, m, seed * 7919 + 13)
+    return gnm_graph(n, m, seed * 7919 + 13)
 
 
 def all_graphs(n):

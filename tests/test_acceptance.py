@@ -12,7 +12,7 @@ from copack.branching import solve_cpcp, solve_cpp
 from copack.cli import command_factors
 from copack.cutcount import derive_seed, parity_dp, sample_weights
 from copack.decomp import PathDecomposition, exact_pathwidth, guard_check, heuristic_pd, to_nice, validate
-from copack.generators import planted_graph, proper_graph
+from copack.generators import gnm_graph, planted_graph, proper_graph
 from copack.graph import (
     Graph,
     find_degree_two_path,
@@ -23,7 +23,6 @@ from copack.graph import (
 from copack.bdd import bdd_dp_solve
 from copack.oracles import oracle_min
 from cc_bruteforce import cc_candidate_counts, enumerate_marked_cc_solutions, fold_counts, marked_cc_counts
-from conftest import random_gnm
 
 
 def _report(name, ok, detail=""):
@@ -45,7 +44,7 @@ def _instance_pool(count, seed_base, n_lo=4, n_hi=9):
             m = rng.randint(min(n, mmax), min(2 * n, mmax))
         else:
             m = rng.randint(min(2 * n, mmax), mmax)
-        pool.append(random_gnm(n, m, seed_base + 31 * i))
+        pool.append(gnm_graph(n, m, seed_base + 31 * i))
     return pool
 
 
@@ -97,7 +96,7 @@ def _counter_pool():
     for i in range(300):
         n = rng.randint(4, 6)
         m = rng.randint(0, n * (n - 1) // 2)
-        pool.append(random_gnm(n, m, 4040 + i))
+        pool.append(gnm_graph(n, m, 4040 + i))
     return pool
 
 
@@ -149,7 +148,7 @@ def test_criterion_05_bdd_dp_vs_oracle():
     for i in range(500):
         n = rng.randint(2, 8)
         m = rng.randint(0, n * (n - 1) // 2)
-        g = random_gnm(n, m, 5050 + i)
+        g = gnm_graph(n, m, 5050 + i)
         decs = [exact_pathwidth(g)[1], heuristic_pd(g), PathDecomposition([set(g.vertices())])]
         order = g.vertices()
         rng.shuffle(order)
@@ -243,10 +242,10 @@ def test_criterion_09_reduction_rule_soundness():
         style = trial % 4
         if style == 0:
             m = rng.randint(0, n)
-            g = random_gnm(n, m, 9900 + trial)
+            g = gnm_graph(n, m, 9900 + trial)
         elif style == 1:
             # triangle feeding one gate vertex, base graph behind it
-            base = random_gnm(n - 4, rng.randint(0, max(0, (n - 4) * (n - 5) // 2)), 9300 + trial)
+            base = gnm_graph(n - 4, rng.randint(0, max(0, (n - 4) * (n - 5) // 2)), 9300 + trial)
             edges = [(u + 4, v + 4) for u, v in base.edges()]
             edges += [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3)]
             if rng.random() < 0.5:
@@ -256,7 +255,7 @@ def test_criterion_09_reduction_rule_soundness():
             g = Graph.from_edges(n, edges)
         elif style == 2:
             # subdivision: long induced degree-2 path
-            base = random_gnm(n - 3, rng.randint(n - 4, max(n - 4, (n - 3) * (n - 4) // 2)), 9500 + trial)
+            base = gnm_graph(n - 3, rng.randint(n - 4, max(n - 4, (n - 3) * (n - 4) // 2)), 9500 + trial)
             edges = base.edges()
             if not edges:
                 continue
@@ -267,7 +266,7 @@ def test_criterion_09_reduction_rule_soundness():
             g = Graph.from_edges(n, rest)
         else:
             m = rng.randint(n, min(2 * n, n * (n - 1) // 2))
-            g = random_gnm(n, m, 9700 + trial)
+            g = gnm_graph(n, m, 9700 + trial)
 
         comps = find_trivial_components(g)
         comp = comps[0] if comps else None

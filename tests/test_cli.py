@@ -1,6 +1,7 @@
 import pytest
 
 from copack.cli import RunConfig, command_factors, command_gen, command_solve, main
+from copack.decomp import parse_decomposition
 from copack.dimacs import parse_graph, write_graph
 from copack.errors import GraphFormatError
 from copack.generators import gnm_graph
@@ -25,19 +26,19 @@ def test_parse_graph_examples():
 
 
 def test_parse_graph_fuzz(rng):
-    """Random junk either parses or raises a format error with a line number;
-    nothing else escapes."""
-    tokens = ["p", "e", "c", "edge", "1", "2", "3", "-1", "x", "0", ""]
+    """Random junk either parses or raises a format error, as a graph and as
+    a decomposition; nothing else escapes."""
+    tokens = ["p", "e", "c", "edge", "pd", "b", "1", "2", "3", "-1", "x", "0", ""]
     for _ in range(400):
         lines = []
         for _ in range(rng.randint(0, 8)):
             lines.append(" ".join(rng.choice(tokens) for _ in range(rng.randint(0, 5))))
         text = "\n".join(lines)
-        try:
-            g = parse_graph(text)
-        except GraphFormatError:
-            continue
-        assert g.size >= 0
+        for parse in (parse_graph, parse_decomposition):
+            try:
+                parse(text)
+            except GraphFormatError as exc:
+                assert exc.line is None or 1 <= exc.line <= len(lines)
 
 
 def test_roundtrip(rng):
@@ -147,10 +148,14 @@ def test_invalid_decomposition_file_names_property_in_file_numbering(tmp_path, c
                         ("b 1 1 2\nb 2 2 3 4\n", "P1 fails at vertex 4"),
                         ("b 1 1 2\nb 2 2 3\nb 3 1\n", "P3 fails at vertex 1")):
         df = tmp_path / "p3.pd"
-        size = max(len(line.split()) - 2 for line in bags.splitlines())
-        df.write_text("p pd %d %d 3\n" % (bags.count("\n"), size) + bags)
+        vs = [line.split()[2:] for line in bags.splitlines()]
+        df.write_text("p pd %d %d %d\n" % (len(vs), max(map(len, vs)), len(set().union(*vs))) + bags)
         assert main(["solve", "--problem", "cpcp", "-k", "1", "--mode", "dp", "--decomposition", str(df), str(gf)]) == 2
         assert capsys.readouterr().err == "error: supplied decomposition invalid: %s\n" % fault
+    # a header that disagrees with its bags is a format error before any property
+    with pytest.raises(GraphFormatError) as exc:
+        parse_decomposition("p pd 2 3 3\nb 1 1 2\nb 2 2 3 4\n")
+    assert exc.value.line == 1 and "declares 3 vertices, found 4" in str(exc.value)
 
 
 def test_decomposition_needs_a_whole_graph_route(tmp_path, capsys):
@@ -292,6 +297,21 @@ def test_main_internal_error_exits_2(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_exact_route_witness_is_verified(tmp_path, capsys, monkeypatch):
+    """A whole-graph DP that claims a witness deleting nothing from K4 at
+    d = 1 is caught by verify and reported as an internal error."""
+    import copack.cli
+    from copack.generators import complete_graph
+
+    f = tmp_path / "k4.gr"
+    f.write_text(write_graph(complete_graph(4)))
+    monkeypatch.setattr(copack.cli, "bdd_dp_solve", lambda *args: (0, set()))
+    assert main(["solve", "--problem", "bdd", "--d", "1", "-k", "2", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal ") and captured.err.count("\n") == 1
 
 
 def test_huge_header_is_refused_before_allocating(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 
 from copack.decomp import (
     EXACT_PATHWIDTH_LIMIT,
-    GuardReport,
     NiceEventSequence,
     PathDecomposition,
     Violation,
@@ -205,9 +204,11 @@ def test_guard_check():
     assert rep.n4 == sum(1 for d in degs if d == 4)
     rep0 = guard_check(g, 0)
     assert not rep0.vertex_bound_ok
-    # n3 = 0, n4 = 3, k = 1: 0/6 + 3/3 = 1 > 2/3
-    fake = GuardReport(n3=0, n4=3, vertex_bound_ok=True, weight_bound_ok=0 + 2 * 3 <= 4 * 1)
-    assert not fake.weight_bound_ok
+    # three disjoint K1,4 stars at k = 1: 15 <= 100 vertices, but n3 + 2 * n4 = 6 > 4
+    stars = Graph.from_edges(15, [(5 * s, 5 * s + i) for s in range(3) for i in range(1, 5)])
+    rep1 = guard_check(stars, 1)
+    assert (rep1.n3, rep1.n4) == (0, 3)
+    assert rep1.vertex_bound_ok and not rep1.weight_bound_ok and not rep1.ok
 
 
 def test_is_proper():

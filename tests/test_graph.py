@@ -1,8 +1,9 @@
 import pytest
 
 from copack import graph as graphlib
+from copack.generators import gnm_graph
 from copack.graph import Graph
-from conftest import random_gnm, random_graph
+from conftest import random_graph
 
 # every structure finder the reductions and branching steps use
 FINDERS = {
@@ -229,7 +230,7 @@ def test_find_structure_matches_bruteforce(rng):
     for t in range(60):
         n = rng.randint(8, 30)
         ring = rng.randint(7, 10) if t % 2 else 0
-        edges = random_gnm(n, rng.randint(4, n + 4), t + 1300).edges()
+        edges = gnm_graph(n, rng.randint(4, n + 4), t + 1300).edges()
         edges += [(n + i, n + (i + 1) % ring) for i in range(ring)]
         g = Graph.from_edges(n + ring, edges)
         g.remove_vertices(rng.sample(range(n), 2))
