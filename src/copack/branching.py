@@ -1,8 +1,9 @@
 """Branch-and-search for co-path/cycle packing and co-path packing.
 
-One depth-first search serves both problems: it runs the reductions to a
-fixpoint at every node, fires the first applicable branching step, whose
-children are the vertex sets they delete, and hands proper graphs to the
+One depth-first branch and bound serves both problems: it runs the
+reductions to a fixpoint at every node, solves the components left one at a
+time, fires the first applicable branching step on each, whose children are
+the vertex sets they delete, and hands proper components to the
 decomposition DPs. Cases the earlier fixpoints provably rule out raise InternalSolverError: a
 silent fallback there would mask a broken reduction, not recover from one.
 """
@@ -43,6 +44,7 @@ class SolveStats:
     width: int = -1
     repeats: int = 0
     guard_rejects: int = 0
+    memo_hits: int = 0
 
     def add(self, other: SolveStats):
         """Fold in another solve's counters: sums, and the widest leaf."""
@@ -52,6 +54,7 @@ class SolveStats:
         self.width = max(self.width, other.width)
         self.repeats += other.repeats
         self.guard_rejects += other.guard_rejects
+        self.memo_hits += other.memo_hits
 
 
 @dataclass
@@ -360,68 +363,156 @@ def cpp_leaf(g: Graph, k: int, events, repeats: int, seed: int, stats: SolveStat
     return runs > 0
 
 
-def _search(problem: str, root: Instance, stats: SolveStats, repeats: int, seed: int):
-    """Depth-first search over the branch tree, children in branch-set
-    order. The stack holds (parent, child) pairs; a child is copied out of
-    its parent only when popped. A leaf is a proper graph, solved by the
-    deletion DP (cpcp) or by cut & count (cpp) with weights from
-    derive_seed(seed, i) at the i-th DP leaf, so stats must start at zero.
-    Returns (answer, witness); the witness is None for cpp."""
-    reduce = reduce_cpcp if problem == "cpcp" else reduce_cpp
-    stack: list[tuple[Instance, frozenset | None]] = [(root, None)]
-    while stack:
-        parent, child = stack.pop()
-        inst = parent if child is None else Instance(
-            parent.graph.without_vertices(child), parent.k - len(child), parent.deleted | child)
-        reduce(inst, stats)
+def _drive(frame):
+    """Run a search frame to its return value. A frame is a generator that
+    yields the frames it needs solved and is sent back their return values;
+    one loop runs them all off an explicit stack, so the depth of the search
+    never reaches the interpreter's stack."""
+    stack = [frame]
+    value = None
+    while True:
+        try:
+            sub = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            value = done.value
+        else:
+            stack.append(sub)
+            value = None
+
+
+class _Search:
+    """Depth-first branch and bound over components, for one solve.
+
+    A frame returns (size, witness) for a deletion set within its cap, or
+    None when there is none; in exact mode the size is the minimum. A
+    witness is None once a cut & count leaf, which finds none, is in it.
+    Each connected graph is memoized for the length of the solve, keyed by
+    its edges: ids are stable, so equal subgraphs in sibling branches share
+    an entry. An entry is its minimum with a witness, or a cap the minimum
+    is known to exceed.
+    """
+
+    def __init__(self, problem: str, stats: SolveStats, repeats: int, seed: int):
+        self.problem = problem
+        self.reduce = reduce_cpcp if problem == "cpcp" else reduce_cpp
+        self.stats = stats
+        self.repeats = repeats
+        self.seed = seed
+        self.minima: dict[bytes, tuple] = {}  # edge key -> (minimum, witness)
+        self.above: dict[bytes, int] = {}  # edge key -> a cap the minimum exceeds
+
+    def solve(self, g: Graph, k: int, exact: bool = False):
+        """(size, witness) for a deletion set of g of size <= k, the least
+        one in exact mode, or None when there is none."""
+        return _drive(self.node(Instance(g.copy(), k, set()), exact))
+
+    def node(self, inst: Instance, exact: bool):
+        """Reduce inst in place, then solve its components smallest first,
+        each capped by the budget the others leave. Every component but the
+        last gets its minimum; the last, in a decision, only a first yes."""
+        self.reduce(inst, self.stats)
         if inst.k < 0:
-            continue
-        g = inst.graph
-        if g.alive_count == 0:
-            return True, set(inst.deleted)
-        bs = _pick_step(g, problem)
-        if bs is not None:
-            stats.nodes += 1
-            stack.extend((inst, ch) for ch in reversed(bs.children) if len(ch) <= inst.k)
-            continue
+            return None
+        size, wit = len(inst.deleted), inst.deleted
+        left = inst.k
+        parts = sorted(inst.graph.split(), key=lambda h: h.alive_count)
+        for i, part in enumerate(parts):
+            # every component the reductions leave has a vertex of degree
+            # >= 3, so each one still to come costs at least 1
+            later = len(parts) - 1 - i
+            found = yield self.component(part, left - later, exact or later > 0)
+            if found is None:
+                return None
+            size += found[0]
+            left -= found[0]
+            wit = None if wit is None or found[1] is None else wit | found[1]
+        return size, wit
+
+    def component(self, g: Graph, cap: int, exact: bool):
+        """Solve the connected, reduced graph g within cap. A branch node
+        runs a child only if it can beat the best found so far; a decision
+        stops at its first yes."""
+        if cap < 0:
+            return None
+        key = g.edge_key()
+        known = self.minima.get(key)
+        if known is not None or self.above.get(key, -1) >= cap:
+            self.stats.memo_hits += 1
+            return known if known is not None and known[0] <= cap else None
+        bs = _pick_step(g, self.problem)
+        if bs is None:
+            best = self.leaf(g, cap, exact)
+        else:
+            self.stats.nodes += 1
+            best = None
+            for ch in bs.children:
+                if len(ch) > cap:
+                    continue
+                found = yield self.node(Instance(g.without_vertices(ch), cap - len(ch), set(ch)), exact)
+                if found is not None:
+                    best, cap = found, found[0] - 1
+                    if not exact:
+                        break
+        if best is None:
+            self.above[key] = cap
+        elif exact:
+            self.minima[key] = best
+        return best
+
+    def leaf(self, g: Graph, cap: int, exact: bool):
+        """A proper graph: the deletion DP's minimum (cpcp), or cut & count
+        decisions at ascending budgets from the least one the guard passes,
+        or at the cap alone outside exact mode (cpp). The i-th decision of
+        the solve draws derive_seed(seed, i), so stats must start at zero."""
         if not decomp.is_proper(g):
             raise InternalSolverError("branching left a non-proper graph: %s" % (g.edges(),))
-        if not decomp.guard_check(g, inst.k).ok:
-            stats.guard_rejects += 1
-            continue
+        guard = decomp.guard_check(g, cap)
+        if not guard.ok:
+            self.stats.guard_rejects += 1
+            return None
         events = decomp.to_nice(decomp.decomposition_for(g))
-        stats.dp_calls += 1
-        stats.width = max(stats.width, events.width)
-        if problem == "cpcp":
+        self.stats.width = max(self.stats.width, events.width)
+        if self.problem == "cpcp":
+            self.stats.dp_calls += 1
             size, wit = bdd_dp_solve(g, events, 2)
-            if size <= inst.k:
-                return True, inst.deleted | wit
-        elif cpp_leaf(g, inst.k, events, repeats,
-                      cutcount.derive_seed(seed, stats.dp_calls - 1), stats):
-            return True, None
-    return False, None
+            return (size, wit) if size <= cap else None
+        lo = max((guard.n3 + 2 * guard.n4 + 3) // 4, (g.alive_count + 99) // 100) if exact else cap
+        for k in range(lo, cap + 1):
+            self.stats.dp_calls += 1
+            seed = cutcount.derive_seed(self.seed, self.stats.dp_calls - 1)
+            if cpp_leaf(g, k, events, self.repeats, seed, self.stats):
+                return k, None
+        return None
 
 
-def solve_cpcp(g: Graph, k: int) -> SolveOutcome:
+def solve_cpcp(g: Graph, k: int, exact: bool = False) -> SolveOutcome:
     """Decide whether deleting at most k vertices leaves maximum degree <= 2;
-    on yes, return a verifying deletion set of size <= k."""
+    on yes, return a verifying deletion set of size <= k, a minimum one if
+    exact."""
     stats = SolveStats()
     if k < 0:
         return SolveOutcome(False, None, stats)
-    ans, wit = _search("cpcp", Instance(g.copy(), k, set()), stats, 0, 0)
-    if ans and (len(wit) > k or not verify(g, wit, "cpcp")):
+    found = _Search("cpcp", stats, 0, 0).solve(g, k, exact)
+    if found is None:
+        return SolveOutcome(False, None, stats)
+    size, wit = found
+    if size != len(wit) or size > k or not verify(g, wit, "cpcp"):
         raise InternalSolverError("produced witness fails verification")
-    return SolveOutcome(ans, wit, stats)
+    return SolveOutcome(True, wit, stats)
 
 
 def solve_cpp(g: Graph, k: int, repeats: int = 10, seed: int = 0) -> SolveOutcome:
     """Decide whether deleting at most k vertices leaves disjoint paths.
 
-    Decision only. A yes is always correct; a no is wrong with probability at
-    most (1/3)^repeats per cut & count leaf on yes-instances.
+    Decision only. A yes is always correct. A no is wrong with probability
+    at most (1/3)^repeats per cut & count leaf decision at its component's
+    true minimum: a component's minimum read too high can only cause a no.
     """
     stats = SolveStats()
     if k < 0:
         return SolveOutcome(False, None, stats)
-    ans, _ = _search("cpp", Instance(g.copy(), k, set()), stats, repeats, seed)
-    return SolveOutcome(ans, None, stats)
+    found = _Search("cpp", stats, repeats, seed).solve(g, k)
+    return SolveOutcome(found is not None, None, stats)

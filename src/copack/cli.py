@@ -111,8 +111,9 @@ def _events_for(g: Graph, cfg: RunConfig):
 
 
 def _exact(cfg: RunConfig) -> bool:
-    """Whether the route computes the minimum itself, which answers every k."""
-    return cfg.mode == "oracle" or cfg.problem == "bdd" or (cfg.mode, cfg.problem) == ("dp", "cpcp")
+    """Whether the route computes the minimum itself, which answers every
+    k; only cut & count, outside oracle mode, decides one k at a time."""
+    return cfg.problem != "cpp" or cfg.mode == "oracle"
 
 
 def _solve_decision(g: Graph, k: int, cfg: RunConfig, stats: SolveStats, events):
@@ -129,10 +130,15 @@ def _solve_decision(g: Graph, k: int, cfg: RunConfig, stats: SolveStats, events)
         if cfg.problem == "cpp":
             return cpp_leaf(g, k, events, cfg.repeats, cfg.seed, stats), None, None
         mn, wit = bdd_dp_solve(g, events, problem_bounds(cfg.problem, cfg.d)[0])
-    else:
-        out = solve_cpcp(g, k) if cfg.problem == "cpcp" else solve_cpp(g, k, cfg.repeats, cfg.seed)
+    elif cfg.problem == "cpp":
+        out = solve_cpp(g, k, cfg.repeats, cfg.seed)
         stats.add(out.stats)
-        return out.answer, out.witness, None
+        return out.answer, None, None
+    else:
+        # with --optimize the search is exact; solve_cpcp verifies its witness
+        out = solve_cpcp(g, k, cfg.optimize)
+        stats.add(out.stats)
+        return out.answer, out.witness, (len(out.witness) if cfg.optimize else None)
     if len(wit) != mn or not verify(g, wit, cfg.problem, cfg.d):
         raise InternalSolverError("exact witness of size %d fails verification" % mn)
     return mn <= k, (wit if mn <= k else None), mn
@@ -152,21 +158,17 @@ def command_solve(cfg: RunConfig, path: str):
     events = _events_for(g, cfg) if cfg.whole_dp else None
     calls = None  # decisions a binary search made
     if cfg.optimize and not _exact(cfg):
-        # decision-only routes binary-search the minimum; deleting every
-        # vertex is a valid cpcp set, kept only when no probe says yes
+        # cut & count decides one k at a time: binary-search the minimum
         lo, hi = 0, g.alive_count
         calls = 0
-        witness = set(g.vertices()) if cfg.problem == "cpcp" else None
         while lo < hi:
             mid = (lo + hi) // 2
             calls += 1
-            ans, wit, _ = _solve_decision(g, mid, cfg, stats, events)
-            if ans:
+            if _solve_decision(g, mid, cfg, stats, events)[0]:
                 hi = mid
-                witness = wit
             else:
                 lo = mid + 1
-        ans, mn = True, lo
+        ans, witness, mn = True, None, lo
     else:
         if not cfg.optimize:
             record["k"] = cfg.k
@@ -174,7 +176,7 @@ def command_solve(cfg: RunConfig, path: str):
     record["answer"] = "yes" if ans else "no"
     if mn is not None:
         record["min_size"] = mn
-    if calls is not None and cfg.problem == "cpp":
+    if calls is not None:
         record["fail_bound"] = "%.3g" % (calls * (1.0 / 3.0) ** cfg.repeats)
     if witness is not None:
         record["witness"] = ",".join(str(v) for v in sorted(witness))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from itertools import combinations
 
 # Components up to this size are solved outright by subset enumeration; the
@@ -91,6 +92,13 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in self.vertices() for v in sorted(self._adj[u]) if u < v]
 
+    def edge_key(self) -> bytes:
+        """The edge set, each edge u < v coded as u * size + v, sorted and
+        packed: graphs of one size have equal keys iff their edges are equal."""
+        n = self.size
+        codes = sorted([u * n + v for u, nb in self._adj.items() for v in nb if u < v])
+        return struct.pack("%dq" % len(codes), *codes)
+
     def max_degree_at_most(self, d: int) -> bool:
         if d < 0:
             raise ValueError("degree bound must be nonnegative")
@@ -173,6 +181,20 @@ class Graph:
         g = self.copy()
         g.remove_vertices(vs)
         return g
+
+    def split(self) -> list["Graph"]:
+        """Move each component into a graph of its own, ordered by minimum
+        vertex, leaving self empty. The adjacency sets move, not copied."""
+        parts = []
+        for comp in self.components():
+            g = Graph.__new__(Graph)
+            g.size = self.size
+            g._adj = {v: self._adj[v] for v in comp}
+            g._m = sum(map(len, g._adj.values())) // 2
+            parts.append(g)
+        self._adj = {}
+        self._m = 0
+        return parts
 
     def without_edge(self, u: int, v: int) -> "Graph":
         g = self.copy()

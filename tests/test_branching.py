@@ -263,8 +263,9 @@ def test_oracle_equivalence_cpp(rng):
 
 
 def test_cpp_leaves_draw_consecutive_seeds(monkeypatch):
-    """The i-th cut & count leaf of a search gets derive_seed(seed, i); a leaf
-    the guard rejects draws no seed."""
+    """The i-th cut & count decision of a search gets derive_seed(seed, i),
+    whether it decides a leaf at the cap or one of a leaf's ascending budgets
+    in exact mode; a leaf the guard rejects draws no seed."""
     seeds = []
     decide = cutcount.decide_cpp
 
@@ -273,7 +274,7 @@ def test_cpp_leaves_draw_consecutive_seeds(monkeypatch):
         return decide(g, k, events, repeats, seed)
 
     monkeypatch.setattr(cutcount, "decide_cpp", recording)
-    for g, k, leaves, rejects in ((planted_graph(48, 6, 1), 5, 5, 17), (planted_graph(30, 4, 0), 3, 2, 4)):
+    for g, k, leaves, rejects in ((planted_graph(48, 6, 1), 5, 5, 13), (planted_graph(30, 4, 0), 3, 1, 5)):
         seeds.clear()
         out = solve_cpp(g, k, repeats=2, seed=7)
         assert not out.answer
@@ -469,3 +470,77 @@ def test_cpcp_search_matches_leaf_dp_past_oracle():
         out = solve_cpcp(g, m)
         assert out.answer and len(out.witness) == m, (m, g.edges())
         assert not solve_cpcp(g, m - 1).answer, (m, g.edges())
+
+
+def disjoint_union(*parts):
+    """The parts side by side, each one's ids shifted past the previous ones."""
+    edges, off = [], 0
+    for h in parts:
+        edges += [(u + off, v + off) for u, v in h.edges()]
+        off += h.size
+    return Graph.from_edges(off, edges)
+
+
+def test_component_unions_match_oracle():
+    """Disjoint unions of 2-3 seeded gnm graphs, at most 14 vertices: yes at
+    the oracle's minimum (a cpcp witness verifies), no one below; the exact
+    cpcp search returns that minimum."""
+    checked = branched = 0
+    for t in range(80):
+        rng = random.Random(t + 31000)
+        # components of 6 or fewer vertices never reach the search, so one
+        # part has 7
+        sizes = [7] + [rng.randint(4, 7) for _ in range(rng.choice((1, 2)))]
+        while sum(sizes) > 14:
+            sizes.pop()
+        parts = [gnm_graph(n, rng.randint(n, n * (n - 1) // 2), rng.randrange(1 << 30)) for n in sizes]
+        g = disjoint_union(*parts)
+        for problem in ("cpcp", "cpp"):
+            mn = oracle_min(g, problem)
+            if problem == "cpcp":
+                out = solve_cpcp(g, mn)
+                assert out.answer and len(out.witness) <= mn and verify(g, out.witness, "cpcp"), (t, g.edges())
+                exact = solve_cpcp(g, g.alive_count, exact=True)
+                assert len(exact.witness) == mn, (t, g.edges())
+                below = solve_cpcp(g, mn - 1)
+                branched += below.stats.nodes >= 2
+                below = below.answer
+            else:
+                assert solve_cpp(g, mn, repeats=12, seed=t).answer, (t, g.edges())
+                below = solve_cpp(g, mn - 1, repeats=12, seed=t).answer
+            assert not below, (t, problem, mn, g.edges())
+            checked += mn > 0
+    assert checked >= 150 and branched >= 10, (checked, branched)
+
+
+def test_component_unions_match_leaf_dp_past_oracle():
+    """Unions of planted and proper graphs, past the oracle: the cpcp search
+    agrees with the deletion DP run on the whole union."""
+    from copack.bdd import bdd_dp_solve
+    from copack.decomp import decomposition_for, to_nice
+    from copack.generators import proper_graph
+
+    for seed in range(6):
+        g = disjoint_union(planted_graph(30 + 4 * seed, 3 + seed % 3, seed), proper_graph(12 + 2 * seed, seed),
+                           planted_graph(20, 2 + seed % 2, seed + 50))
+        m = bdd_dp_solve(g, to_nice(decomposition_for(g)), 2)[0]
+        out = solve_cpcp(g, m)
+        assert out.answer and len(out.witness) <= m and verify(g, out.witness, "cpcp"), (seed, m)
+        assert len(solve_cpcp(g, g.alive_count, exact=True).witness) == m, (seed, m)
+        assert not solve_cpcp(g, m - 1).answer, (seed, m)
+
+
+def test_five_cliques_branch_once_each():
+    """Five disjoint K7 at k = 19, one below their minimum 20: each clique is
+    solved on its own, so the search branches at most once per clique."""
+    g = disjoint_union(*[complete_graph(7)] * 5)
+    out = solve_cpcp(g, 19)
+    assert not out.answer and out.stats.nodes <= 5
+    assert solve_cpcp(g, 20).answer
+
+
+def test_equal_components_share_a_memo_entry():
+    """Equal components in sibling branches are answered from the memo."""
+    g = planted_graph(200, 20, 3)
+    out = solve_cpcp(g, g.alive_count, exact=True)
+    assert len(out.witness) == 15 and out.stats.memo_hits > 0

@@ -185,8 +185,7 @@ def test_optimize_rejects_a_budget(tmp_path, capsys):
 
 
 def test_cpcp_optimize_without_edges(tmp_path, capsys):
-    """Deleting every vertex, the binary search's starting witness, is the
-    answer only on the empty graph; one isolated vertex needs no deletion."""
+    """The empty graph and one isolated vertex need no deletion."""
     f = tmp_path / "g.gr"
     for text in ("p edge 0 0\n", "p edge 1 0\n"):
         f.write_text(text)
@@ -355,7 +354,7 @@ def test_optimize_record_sums_every_decision(tmp_path):
             lo = mid + 1
     assert rec["min_size"] == lo and len(per_decision) > 1
     assert rec["nodes"] >= max(r["nodes"] for r in per_decision)
-    for field in ("nodes", "reductions", "dp_calls", "repeats", "guard_rejects"):
+    for field in ("nodes", "reductions", "dp_calls", "repeats", "guard_rejects", "memo_hits"):
         assert rec[field] == sum(r[field] for r in per_decision), field
     assert rec["width"] == max(r["width"] for r in per_decision)
 
@@ -429,6 +428,59 @@ def test_exact_optimize_solves_once(tmp_path, monkeypatch):
     assert code == 0 and at_min["min_size"] == mn and at_min["witness"] == rec["witness"]
     below, code = command_solve(RunConfig(problem="bdd", d=1, k=mn - 1), str(f))
     assert code == 1 and below["min_size"] == mn and "witness" not in below
+
+
+def test_connected_chain_search_stays_off_the_stack(tmp_path, capsys):
+    """A connected chain makes the search 200 branch nodes deep; its
+    component and child frames run off an explicit stack."""
+    import sys
+
+    from copack.graph import Graph
+
+    # centre 5i has four pendant leaves and joins the next centre
+    edges = [(5 * i, 5 * i + j) for i in range(200) for j in range(1, 5)]
+    edges += [(5 * i, 5 * i + 5) for i in range(199)]
+    f = tmp_path / "chain.gr"
+    f.write_text(write_graph(Graph.from_edges(1000, edges)))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        code = main(["solve", "--problem", "cpcp", "-k", "200", str(f)])
+    finally:
+        sys.setrecursionlimit(old)
+    assert code == 0 and "answer=yes" in capsys.readouterr().out
+
+
+def test_cpcp_optimize_is_one_exact_search(tmp_path, monkeypatch):
+    """cpcp --optimize in auto mode runs the search once, in exact mode, and
+    prints the minimum with a verifying witness of that size; the whole-graph
+    DP agrees past the oracle."""
+    import copack.cli
+    from copack.generators import planted_graph
+    from copack.oracles import verify
+
+    calls = []
+
+    def counted(g, k, exact=False):
+        calls.append(exact)
+        return solve_cpcp(g, k, exact)
+
+    solve_cpcp = copack.cli.solve_cpcp
+    monkeypatch.setattr(copack.cli, "solve_cpcp", counted)
+    f = tmp_path / "g.gr"
+    for g in (gnm_graph(12, 22, seed=4), planted_graph(48, 6, 1)):
+        f.write_text(write_graph(g))
+        # the oracle up to its 14 vertices, the whole-graph DP past them
+        mode = "oracle" if g.alive_count <= 14 else "dp"
+        mn = command_solve(RunConfig(problem="cpcp", optimize=True, mode=mode), str(f))[0]["min_size"]
+        calls.clear()
+        rec, code = command_solve(RunConfig(problem="cpcp", optimize=True), str(f))
+        assert code == 0 and calls == [True] and "fail_bound" not in rec
+        wit = {int(v) for v in rec["witness"].split(",") if v}
+        assert rec["min_size"] == len(wit) == mn and verify(g, wit, "cpcp")
 
 
 def test_cli_import_leaves_numpy_out():

@@ -94,6 +94,24 @@ def test_components_partition(rng):
         assert len(set(flat)) == len(flat)
 
 
+def test_split_and_edge_key():
+    """split moves each component into its own graph and empties the
+    original; edge_key tells graphs apart exactly by their edges."""
+    for t in range(40):
+        g = random_graph(t + 700)
+        want = [(c, [e for e in g.edges() if e[0] in c]) for c in g.components()]
+        key = g.edge_key()
+        h = Graph.from_edges(g.size, reversed(g.edges()))
+        assert h.edge_key() == key
+        if g.edge_count:
+            u, v = g.edges()[0]
+            assert g.without_edge(u, v).edge_key() != key
+        parts = g.split()
+        assert g.alive_count == 0 and g.edge_count == 0
+        assert [(p.vertices(), p.edges()) for p in parts] == want
+        assert [p.edge_count for p in parts] == [len(es) for _, es in want]
+
+
 def test_linear_forest():
     p5 = Graph.from_edges(5, [(i, i + 1) for i in range(4)])
     assert p5.is_linear_forest()
