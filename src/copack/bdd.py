@@ -1,11 +1,17 @@
 """Deletion DP over introduce/forget events: minimum vertex set whose removal
 leaves maximum degree at most d, in O*((d+2)^width) table size.
 
-Bag vertices carry one label each: "deleted", or "kept with degree exactly j
-among already-processed kept vertices" for j in 0..d. Introducing a kept
-vertex bumps each kept bag-neighbor's degree label by one; a label past d
+Bag vertices carry one label each: "deleted" (d + 1), or "kept with degree
+exactly j among already-processed kept vertices" for j in 0..d. Introducing a
+kept vertex bumps each kept bag-neighbor's degree label by one; a label past d
 kills the branch. Forgetting a vertex projects its label away, keeping the
 cheaper table entry.
+
+A bag labelling is one int of w = (d+1).bit_length() bit fields, bag
+position i in bits i*w .. i*w + w - 1, so the labels 0..d+1 fit. Introducing
+at position p splices a field in at bit p*w, forgetting cuts it out, and a
+degree bump adds 1 << i*w, which never carries since a bumped label stays
+at most d.
 
 Each entry is the cheapest deletion set reaching its labels, as a bitmask
 over introduce order: its cost is the mask's bit count, and the final
@@ -23,46 +29,49 @@ def bdd_dp_solve(g: Graph, events: NiceEventSequence, d: int) -> tuple[int, set[
     if d < 0:
         raise ValueError("degree bound d must be >= 0")
     del_label = d + 1
-    table: dict[tuple, int] = {(): 0}
+    w = del_label.bit_length()
+    field = (1 << w) - 1
+    table: dict[int, int] = {0: 0}
     order: list[int] = []  # bit i of a mask stands for order[i]
 
     for op, v, p, bag in events.walk(g):
-        new: dict[tuple, int] = {}
+        new: dict[int, int] = {}
+        sh = p * w
+        low = (1 << sh) - 1
         if op == "introduce":
             bit = 1 << len(order)
             order.append(v)
-            nbr_idx = [i for i, u in enumerate(bag) if u in g._adj[v]]
-            for labels, mask in table.items():
+            deleted = del_label << sh
+            nbr_sh = [i * w for i, u in enumerate(bag) if u in g._adj[v]]
+            for s, mask in table.items():  # s: the packed labels, bumped below
                 cost = mask.bit_count()
-                nl = labels[:p] + (del_label,) + labels[p:]
+                nl = (s & low) | ((s >> sh) << (sh + w)) | deleted
                 old = new.get(nl)
                 if old is None or cost + 1 < old.bit_count():
                     new[nl] = mask | bit
-                shifted = list(labels)
                 kept_nbrs = 0
-                feasible = True
-                for i in nbr_idx:
-                    l = shifted[i]
+                for j in nbr_sh:
+                    l = s >> j & field
                     if l == del_label:
                         continue
                     if l == d:
-                        feasible = False
                         break
-                    shifted[i] = l + 1
+                    s += 1 << j
                     kept_nbrs += 1
-                if feasible and kept_nbrs <= d:
-                    nl = tuple(shifted[:p]) + (kept_nbrs,) + tuple(shifted[p:])
-                    old = new.get(nl)
-                    if old is None or cost < old.bit_count():
-                        new[nl] = mask
+                else:
+                    if kept_nbrs <= d:
+                        nl = (s & low) | ((s >> sh) << (sh + w)) | (kept_nbrs << sh)
+                        old = new.get(nl)
+                        if old is None or cost < old.bit_count():
+                            new[nl] = mask
             assert len(new) <= (d + 2) ** (len(bag) + 1)
         else:
-            for labels, mask in table.items():
-                nl = labels[:p] + labels[p + 1:]
+            for s, mask in table.items():
+                nl = (s & low) | ((s >> (sh + w)) << sh)
                 old = new.get(nl)
                 if old is None or mask.bit_count() < old.bit_count():
                     new[nl] = mask
         table = new
 
-    mask = table[()]
+    mask = table[0]
     return mask.bit_count(), {v for i, v in enumerate(order) if mask >> i & 1}

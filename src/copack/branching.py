@@ -112,25 +112,39 @@ def branch_b2(g: Graph, v: int, u: int) -> BranchSet:
 # ------------------------------------------------------------------ reductions
 
 
-def _delete(inst: Instance, removed, deleted):
+# The actions below return how many reductions they count.
+
+
+def _delete(inst: Instance, removed, deleted) -> int:
     """Remove `removed` from the graph, of which `deleted` go into the solution."""
     inst.graph.remove_vertices(removed)
     inst.deleted.update(deleted)
     inst.k -= len(deleted)
+    return 1
 
 
-def _smooth(inst: Instance, a: int, mid: int, b: int):
+def _smooth(inst: Instance, a: int, mid: int, b: int) -> int:
     """Replace the path a - mid - b by the edge a - b."""
     inst.graph.remove_vertex(mid)
     inst.graph.add_edge(a, b)
+    return 1
+
+
+def _remove_edges(inst: Instance, edges) -> int:
+    """Remove each edge, one reduction apiece."""
+    for e in edges:
+        inst.graph.remove_edge(*e)
+    return len(edges)
 
 
 # Local reduction rules per problem, in firing order: (finder, action on the
 # instance given the finder's witness).
 _REDUCTIONS = {
     "cpcp": (
-        # drop edges joining two degree-<=2 vertices
-        (graphlib.find_low_degree_edge, lambda inst, edge: inst.graph.remove_edge(*edge)),
+        # drop every edge joining two degree-<=2 vertices: removing one only
+        # lowers degrees that are already <= 2, so the others stay eligible
+        # and no new one appears
+        (graphlib.low_degree_edges, _remove_edges),
         # a triangle with a single outside neighbor x: delete x, and the
         # triangle itself then costs nothing
         (graphlib.find_triangle_single_neighbor, lambda inst, tri: _delete(inst, tri, tri[3:])),
@@ -156,8 +170,7 @@ def _delete_trivial_components(inst: Instance, acyclic: bool, stats: SolveStats)
             cut = min_deletion_set(inst.graph, comp, 2, acyclic)
         else:
             cut = comp[:1] if acyclic else ()
-        _delete(inst, comp, cut)
-        stats.reductions += 1
+        stats.reductions += _delete(inst, comp, cut)
 
 
 def _reduce(inst: Instance, problem: str, stats: SolveStats) -> Instance:
@@ -172,8 +185,7 @@ def _reduce(inst: Instance, problem: str, stats: SolveStats) -> Instance:
         for find, act in _REDUCTIONS[problem]:
             found = find(inst.graph)
             if found is not None:
-                act(inst, found)
-                stats.reductions += 1
+                stats.reductions += act(inst, found)
                 fired = True
                 break
         else:

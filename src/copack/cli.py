@@ -156,14 +156,12 @@ def command_solve(cfg: RunConfig, path: str):
     stats = SolveStats()
     # the whole-graph DP routes decompose once for every decision
     events = _events_for(g, cfg) if cfg.whole_dp else None
-    calls = None  # decisions a binary search made
-    if cfg.optimize and not _exact(cfg):
+    searched = cfg.optimize and not _exact(cfg)
+    if searched:
         # cut & count decides one k at a time: binary-search the minimum
         lo, hi = 0, g.alive_count
-        calls = 0
         while lo < hi:
             mid = (lo + hi) // 2
-            calls += 1
             if _solve_decision(g, mid, cfg, stats, events)[0]:
                 hi = mid
             else:
@@ -176,8 +174,11 @@ def command_solve(cfg: RunConfig, path: str):
     record["answer"] = "yes" if ans else "no"
     if mn is not None:
         record["min_size"] = mn
-    if calls is not None:
-        record["fail_bound"] = "%.3g" % (calls * (1.0 / 3.0) ** cfg.repeats)
+    if searched:
+        # union bound over every cut & count leaf decision the search made:
+        # each can miss a yes with probability <= (1/3)^repeats; guard
+        # rejections are sound
+        record["fail_bound"] = "%.3g" % (stats.dp_calls * (1.0 / 3.0) ** cfg.repeats)
     if witness is not None:
         record["witness"] = ",".join(str(v) for v in sorted(witness))
     record.update(asdict(stats))

@@ -30,11 +30,21 @@ labels alone, so each introduce computes them once per distinct labelling.
 The table is keyed (bag labels, delta, n_sat), where delta = m - (n - e - a)
 and n_sat = min(n, need) for the decision's need = #vertices - k. Every
 transition moves delta by a constant, and a state whose n_sat cannot reach
-`need` with the vertices still to come is dropped. Pairs that cancel share
-all four counts, so they share the folded key too. Each key maps to a Python
+`need` with the vertices still to come is never stored. Pairs that cancel
+share all four counts, so they share the folded key too.
+
+A key is one int. Its low bits hold n_sat, in need.bit_length() bits; then
+delta + N, for a graph of N vertices and E edges, in (N + E).bit_length()
+bits, since every partial candidate has -n/2 <= delta <= m <= E; then one
+3-bit field per bag label, bag position i in the i-th. Introducing at
+position p splices a field in, forgetting cuts one out, a delta move is an
+addition at the delta field, and n_sat counts up by adding 1. The keep
+moves of a labelling are precomputed as (shifted labels + delta change), so
+a kept vertex costs one addition per move. Each key maps to a Python
 int whose bit w is the count's parity at weight w: toggling a count is an
 XOR, adding a vertex or edge weight is a left shift of the whole int, and an
-entry whose int reaches 0 is dropped. The DP returns the final table as
+entry whose int reaches 0 is skipped by the next event, so no pass over
+the table filters it. The DP returns the final table as
 {delta: bits} over the candidates with n >= need; the decision reads delta 0.
 """
 
@@ -77,27 +87,25 @@ def sample_weights(g: Graph, seed: int) -> WeightAssignment:
     return WeightAssignment(vw, ew, n_max)
 
 
-def _xor(table: dict, key, bits: int):
-    table[key] = table.get(key, 0) ^ bits
-
-
-def _keep(labels: tuple, p: int, nbrs: list, ew: dict, wv: int) -> list:
+def _keep(labels: int, p: int, nbrs: list, ew: dict, wv: int) -> list:
     """The keep rule's moves for the vertex of weight wv introduced at bag
-    position p, with bag-neighbors at positions nbrs and edge weight ew[i]
-    towards position i: (new labels, delta change, added weight) for each."""
-    kept = [i for i in nbrs if labels[i] != DEL]
-    ls = [labels[i] for i in kept]
+    position p of the packed labelling `labels`, with bag-neighbors at
+    positions nbrs and edge weight ew[i] towards position i: (new packed
+    labels, delta change, added weight) for each."""
+    kept = [i for i in nbrs if labels >> 3 * i & 7 != DEL]
+    ls = [labels >> 3 * i & 7 for i in kept]
     if len(kept) > 2 or TWO in ls or (ONE1 in ls and ONE2 in ls):
         return []
     dd = len(kept) - 1 - ls.count(ISO) if kept else 0
     sides = [s for s in (ONE1, ONE2) if s in ls] or ([ONE1, ONE2] if kept else [ONE1])
+    sh = 3 * p
     moves = []
     for side in sides:
-        base = list(labels)
-        for i in kept:
-            base[i] = side if base[i] == ISO else TWO
-        base.insert(p, (ISO, side, TWO)[len(kept)])
-        marked = [(tuple(base), dd, wv)]
+        base = labels
+        for i, l in zip(kept, ls):
+            base ^= (l ^ (side if l == ISO else TWO)) << 3 * i
+        base = (base & ((1 << sh) - 1)) | ((base >> sh) << (sh + 3)) | ((ISO, side, TWO)[len(kept)] << sh)
+        marked = [(base, dd, wv)]
         if side == ONE1:
             for i in kept:
                 marked += [(nl, r + 1, w + ew[i]) for nl, r, w in marked]
@@ -110,32 +118,57 @@ def parity_dp(g: Graph, events: NiceEventSequence, weights: WeightAssignment, ne
     vertices: bit w of bits is the parity of the number of such candidates
     with weight w and m - (n - e - a) = delta. Zero entries are dropped."""
     intro_left = g.alive_count  # the walk introduces each alive vertex once
-    table: dict = {((), 0, 0): 1}
+    # key layout, low to high: n_sat, delta + off, one 3-bit field per bag label
+    off = g.alive_count
+    ns_bits = max(need, 0).bit_length()
+    d_bits = (off + g.edge_count).bit_length()
+    aux = ns_bits + d_bits
+    ns_mask, d_mask, aux_mask = (1 << ns_bits) - 1, (1 << d_bits) - 1, (1 << aux) - 1
+    table: dict = {off << ns_bits: 1}
 
     for op, v, p, bag in events.walk(g):
         new: dict = {}
+        sh = aux + 3 * p
+        low = (1 << sh) - 1
         if op == "introduce":
             intro_left -= 1
+            floor = need - intro_left  # fewer kept vertices than this cannot reach need
+            below = low ^ aux_mask  # the label fields before position p
             nbrs = [i for i in range(len(bag)) if bag[i] in g._adj[v]]
             ew = {i: weights.edge_weights[(min(bag[i], v), max(bag[i], v))] for i in nbrs}
             wv = weights.vertex_weights[v]
-            memo: dict = {}  # labels -> (labels with v deleted, keep moves)
-            for (labels, d, ns), bits in table.items():
+            memo: dict = {}  # labels -> (key bits with v deleted, keep moves)
+            for key, bits in table.items():
+                if not bits:
+                    continue
+                labels = key >> aux
                 entry = memo.get(labels)
                 if entry is None:
-                    entry = memo[labels] = (labels[:p] + (DEL,) + labels[p:], _keep(labels, p, nbrs, ew, wv))
+                    entry = memo[labels] = (
+                        (key & below) | ((key >> sh) << (sh + 3)) | (DEL << sh),
+                        [((nl << aux) + (dd << ns_bits), shift) for nl, dd, shift in _keep(labels, p, nbrs, ew, wv)],
+                    )
                 deleted, keeps = entry
-                _xor(new, (deleted, d, ns), bits)
-                ns += ns < need
-                for nl, dd, shift in keeps:
-                    _xor(new, (nl, d + dd, ns), bits << shift)
+                a = key & aux_mask
+                ns = a & ns_mask
+                if ns >= floor:
+                    nk = deleted | a
+                    new[nk] = new.get(nk, 0) ^ bits
+                if ns < need:
+                    a += 1
+                    ns += 1
+                if ns >= floor:
+                    for nl, shift in keeps:
+                        nk = nl + a
+                        new[nk] = new.get(nk, 0) ^ (bits << shift)
         else:
-            for (labels, d, ns), bits in table.items():
-                _xor(new, (labels[:p] + labels[p + 1:], d, ns), bits)
-        floor = need - intro_left
-        table = {key: bits for key, bits in new.items() if bits and key[2] >= floor}
+            for key, bits in table.items():
+                if bits:
+                    nk = (key & low) | ((key >> (sh + 3)) << sh)
+                    new[nk] = new.get(nk, 0) ^ bits
+        table = new
 
-    return {d: bits for (_, d, ns), bits in table.items() if ns >= need}
+    return {(key >> ns_bits & d_mask) - off: bits for key, bits in table.items() if bits and key & ns_mask >= need}
 
 
 def decide_cpp_once(g: Graph, k: int, events: NiceEventSequence, seed: int) -> bool:

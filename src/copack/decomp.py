@@ -206,25 +206,26 @@ def _layout_to_decomposition(g: Graph, order: list[int]) -> PathDecomposition:
 
 def heuristic_pd(g: Graph) -> PathDecomposition:
     """Greedy layout-based decomposition; always valid, no width guarantee."""
+    adj = g._adj
     remaining = set(g.vertices())
     placed: set[int] = set()
     order = []
-    boundary: set[int] = set()
+    boundary = 0  # how many placed vertices have an unplaced neighbor
+    unplaced = {v: len(adj[v]) for v in remaining}  # v's unplaced neighbors
     while remaining:
         best_v, best_cost = None, None
         for v in sorted(remaining):
-            nb = {u for u in boundary if g._adj[u] - (placed | {v})}
-            if g._adj[v] - (placed | {v}):
-                nb.add(v)
-            cost = len(nb)
+            # placing v joins v to the boundary if it has an unplaced
+            # neighbor, and drops each placed neighbor whose last one it is
+            cost = boundary + (unplaced[v] > 0) - sum(1 for u in adj[v] if unplaced[u] == 1 and u in placed)
             if best_cost is None or cost < best_cost:
                 best_v, best_cost = v, cost
         order.append(best_v)
         placed.add(best_v)
         remaining.discard(best_v)
-        boundary = {u for u in boundary if g._adj[u] - placed}
-        if g._adj[best_v] - placed:
-            boundary.add(best_v)
+        boundary = best_cost
+        for u in adj[best_v]:
+            unplaced[u] -= 1
     return _layout_to_decomposition(g, order)
 
 

@@ -205,7 +205,8 @@ class Graph:
 # -------------------------------------------------------- structure search
 #
 # All finders scan vertices and neighbors in increasing id order and return
-# the first witness, so every caller is reproducible run-to-run.
+# the first witness (`low_degree_edges` and `find_trivial_components`: all of
+# them, in that order), so every caller is reproducible run-to-run.
 
 
 def find_degree_ge5(g: Graph):
@@ -283,15 +284,14 @@ def find_deg4_adjacent_deg3(g: Graph):
     return None
 
 
-def find_low_degree_edge(g: Graph):
-    """Edge whose endpoints both have degree <= 2."""
-    for u in g.vertices():
-        if len(g._adj[u]) > 2:
-            continue
-        for v in sorted(g._adj[u]):
-            if u < v and len(g._adj[v]) <= 2:
-                return (u, v)
-    return None
+def low_degree_edges(g: Graph):
+    """Every edge whose endpoints both have degree <= 2, in id order, or None
+    if there is none."""
+    found = [
+        (u, v) for u in g.vertices() if len(g._adj[u]) <= 2
+        for v in sorted(g._adj[u]) if u < v and len(g._adj[v]) <= 2
+    ]
+    return found or None
 
 
 def find_degree_two_path(g: Graph):

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from copack.decomp import PathDecomposition
 from copack.generators import gnm_graph
 from copack.graph import Graph
 
@@ -19,6 +20,23 @@ def all_graphs(n):
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         yield Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1])
+
+
+def layout_decomposition(g, order):
+    """Bags of a vertex layout: each vertex with the placed vertices that
+    still have an unplaced neighbor."""
+    placed, bags = set(), []
+    for v in order:
+        bags.append({u for u in placed if g.neighbors(u) - placed} | {v})
+        placed.add(v)
+    return PathDecomposition(bags)
+
+
+def shuffled(g, seed):
+    """g with its vertex ids permuted by a seeded shuffle."""
+    perm = list(range(g.size))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(g.size, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 @pytest.fixture

@@ -6,10 +6,10 @@ import pytest
 from copack.bdd import bdd_dp_solve
 from copack.cutcount import parity_dp, sample_weights
 from copack.decomp import NiceEventSequence, PathDecomposition, exact_pathwidth, heuristic_pd, to_nice, validate
-from copack.generators import complete_graph, cycle_graph, grid_graph, path_graph
+from copack.generators import complete_graph, cycle_graph, gnm_graph, grid_graph, path_graph, proper_graph
 from copack.graph import Graph
 from copack.oracles import oracle_min, verify
-from conftest import all_graphs, random_graph
+from conftest import all_graphs, layout_decomposition, random_graph, shuffled
 
 
 def events_for(g):
@@ -75,11 +75,7 @@ def test_decomposition_independence():
         decs = [exact_pathwidth(g)[1], heuristic_pd(g), PathDecomposition([set(g.vertices())])]
         order = g.vertices()
         rng.shuffle(order)
-        placed, bags = set(), []
-        for v in order:
-            bags.append({u for u in placed if g.neighbors(u) - placed} | {v})
-            placed.add(v)
-        decs.append(PathDecomposition(bags))
+        decs.append(layout_decomposition(g, order))
         results = set()
         for pd in decs:
             assert validate(g, pd) is None
@@ -88,6 +84,36 @@ def test_decomposition_independence():
         for d in (0, 2):
             vals = {size for dd, size in results if dd == d}
             assert len(vals) == 1
+
+
+def test_packed_fields_at_each_degree_bound():
+    """d = 0, 1, 2, 3 pack each label into 1, 2, 2 and 3 bits. Graphs whose
+    kept degrees reach d and whose one-bag or id-order layouts are wide,
+    against the oracle."""
+    graphs = [complete_graph(7), grid_graph(3, 4), Graph.from_edges(7, [(0, i) for i in range(1, 7)])]
+    graphs += [gnm_graph(14, 24, 5), shuffled(grid_graph(3, 4), 8)]
+    graphs += [random_graph(t + 6600, n_lo=9, n_hi=12) for t in range(6)]
+    for g in graphs:
+        decs = [exact_pathwidth(g)[1], layout_decomposition(g, g.vertices())]
+        if g.alive_count <= 7:
+            decs.append(PathDecomposition([set(g.vertices())]))
+        for d in (0, 1, 2, 3):
+            mn = oracle_min(g, "bdd", d)
+            for pd in decs:
+                size, wit = bdd_dp_solve(g, to_nice(pd), d)
+                assert size == mn and len(wit) == size and verify(g, wit, "bdd", d), (g.edges(), d, pd)
+
+
+def test_wide_layout_matches_exact_decomposition():
+    """Past the oracle: id-order layouts of width 8 to 10 (9 to 11 label
+    fields in one key) give the minimum the exact decomposition gives."""
+    for g in (shuffled(grid_graph(4, 4), 1), shuffled(proper_graph(16, 3), 3), shuffled(grid_graph(3, 6), 2)):
+        wide = layout_decomposition(g, g.vertices())
+        exact = exact_pathwidth(g)[1]
+        assert wide.width >= 8 > exact.width
+        for d in (0, 1, 2, 3):
+            size, wit = bdd_dp_solve(g, to_nice(wide), d)
+            assert size == bdd_dp_solve(g, to_nice(exact), d)[0] and verify(g, wit, "bdd", d), d
 
 
 def test_bad_events_rejected():

@@ -6,6 +6,7 @@ from copack import cutcount, graph as graphlib
 from copack.branching import (
     _REDUCTIONS,
     Instance,
+    SolveStats,
     _branch,
     branch_b1,
     branch_b2,
@@ -17,7 +18,7 @@ from copack.branching import (
 )
 from copack.errors import InternalSolverError
 from copack.generators import complete_graph, cycle_graph, gnm_graph, path_graph, planted_graph
-from copack.graph import Graph, find_pendant_chain, find_degree_two_path, find_low_degree_edge, find_triangle_single_neighbor
+from copack.graph import Graph, find_pendant_chain, find_degree_two_path, find_triangle_single_neighbor, low_degree_edges
 from copack.oracles import oracle_min, verify
 from conftest import random_graph
 
@@ -95,13 +96,40 @@ def test_reduce_cpcp_edge_rule():
     assert inst.graph.alive_count == 0 and inst.k == 0
 
 
+def test_low_degree_edges_in_one_pass_match_one_at_a_time(monkeypatch):
+    # the cpcp fixpoint removing every low-degree edge per firing reaches the
+    # same instance, with the same reduction count, as removing the first one
+    # and rescanning
+    def first_only(g):
+        edges = low_degree_edges(g)
+        return edges and edges[:1]
+
+    (_, remove), *rest = _REDUCTIONS["cpcp"]
+    rng = random.Random(515)
+    for t in range(150):
+        if t % 3:
+            g = random_graph(t + 5100, n_lo=6, n_hi=14)
+        else:
+            g = planted_graph(rng.randint(12, 30), rng.randint(1, 2), t)
+        k = rng.randint(0, g.alive_count)
+        batched, batched_stats = inst_of(g, k), SolveStats()
+        reduce_cpcp(batched, batched_stats)
+        with monkeypatch.context() as m:
+            m.setitem(_REDUCTIONS, "cpcp", ((first_only, remove), *rest))
+            single, single_stats = inst_of(g, k), SolveStats()
+            reduce_cpcp(single, single_stats)
+        assert batched.graph.edges() == single.graph.edges(), t
+        assert (batched.k, batched.deleted) == (single.k, single.deleted), t
+        assert batched_stats.reductions == single_stats.reductions, t
+
+
 def test_rule_soundness_single_applications(rng):
     checked = {"rr2": 0, "rr3": 0, "rrstar2": 0, "pendant": 0}
     for t in range(3000):
         if all(v >= 40 for v in checked.values()):
             break
         g = random_graph(t + 7700, n_lo=5, n_hi=9)
-        e = find_low_degree_edge(g)
+        e = (low_degree_edges(g) or [None])[0]
         if e and checked["rr2"] < 60:
             checked["rr2"] += 1
             g2 = g.without_edge(*e)

@@ -359,6 +359,34 @@ def test_optimize_record_sums_every_decision(tmp_path):
     assert rec["width"] == max(r["width"] for r in per_decision)
 
 
+def test_cpp_fail_bound_sums_every_leaf_decision(tmp_path, monkeypatch):
+    """Two disjoint proper components: one binary-search decision reaches a
+    cut & count leaf in each, so the bound is taken over the leaf decisions,
+    not over the binary search's decisions."""
+    import copack.cli
+    from copack.generators import proper_graph
+    from copack.graph import Graph
+
+    a, b = proper_graph(14, 1), proper_graph(14, 2)
+    edges = a.edges() + [(u + a.size, v + a.size) for u, v in b.edges()]
+    f = tmp_path / "g.gr"
+    f.write_text(write_graph(Graph.from_edges(a.size + b.size, edges)))
+    leaves = []  # cut & count leaf decisions per binary-search decision
+
+    def counted(g, k, cfg, stats, events):
+        before = stats.dp_calls
+        out = solve_decision(g, k, cfg, stats, events)
+        leaves.append(stats.dp_calls - before)
+        return out
+
+    solve_decision = copack.cli._solve_decision
+    monkeypatch.setattr(copack.cli, "_solve_decision", counted)
+    rec, code = command_solve(RunConfig(problem="cpp", optimize=True, repeats=4), str(f))
+    assert code == 0 and max(leaves) > 1
+    assert rec["dp_calls"] == sum(leaves) > len(leaves)
+    assert rec["fail_bound"] == "%.3g" % (rec["dp_calls"] * (1.0 / 3.0) ** 4)
+
+
 def test_dp_mode_optimize_record_sums_every_decision(tmp_path, monkeypatch):
     """cpp --mode dp binary-searches over one decomposition; its record sums
     the DP calls and the cut & count repeats actually run over every decision."""

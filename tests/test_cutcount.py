@@ -11,11 +11,11 @@ from copack.cutcount import (
     sample_weights,
 )
 from copack.decomp import exact_pathwidth, heuristic_pd, to_nice
-from copack.generators import cycle_graph, path_graph, proper_graph
+from copack.generators import cycle_graph, grid_graph, path_graph, proper_graph
 from copack.graph import Graph
 from copack.oracles import oracle_min
 from cc_bruteforce import cc_candidate_counts, enumerate_marked_cc_solutions, fold_counts, marked_cc_counts
-from conftest import random_graph
+from conftest import layout_decomposition, random_graph, shuffled
 
 
 def events_for(g):
@@ -69,6 +69,35 @@ def test_parity_matches_bruteforce_all_keys():
             counts = cc_candidate_counts(g, w)
             for need in range(g.alive_count + 2):
                 assert parity_dp(g, ev, w, need) == fold_counts(counts, need), (t, s, need, g.edges())
+
+
+def test_parity_most_negative_delta_at_need_zero():
+    """need 0 prunes no state, so the walk passes delta = -n/2 (n/2 unmarked
+    single-edge components), the lowest the delta field must hold.
+    Matchings and paths on the counters' 7 vertices, against the brute
+    force."""
+    graphs = [Graph.from_edges(7, [(0, 1), (2, 3), (4, 5)]), path_graph(7),
+              Graph.from_edges(7, [(0, 1), (2, 3), (4, 5), (1, 2), (3, 4), (5, 6)]),
+              Graph.from_edges(6, [(0, 3), (1, 4), (2, 5), (0, 1)])]
+    for g in graphs:
+        for pd in (exact_pathwidth(g)[1], layout_decomposition(g, g.vertices()[::-1])):
+            for s in range(4):
+                w = sample_weights(g, seed=derive_seed(77, s))
+                assert parity_dp(g, to_nice(pd), w, 0) == fold_counts(cc_candidate_counts(g, w), 0), (g.edges(), s)
+
+
+def test_parity_wide_layout_matches_exact_decomposition():
+    """Id-order layouts of width 8 and 10 (9 and 11 label fields above the
+    delta and n_sat fields in one key) give the table the exact
+    decomposition gives."""
+    for g in (shuffled(grid_graph(4, 4), 1), shuffled(grid_graph(3, 6), 2)):
+        wide = to_nice(layout_decomposition(g, g.vertices()))
+        exact = to_nice(exact_pathwidth(g)[1])
+        assert wide.width >= 8 > exact.width
+        w = sample_weights(g, seed=derive_seed(g.alive_count, 5))
+        for need in (g.alive_count - 5, g.alive_count - 4):
+            table = parity_dp(g, wide, w, need)
+            assert table and table == parity_dp(g, exact, w, need), need
 
 
 def test_unmarked_component_counts_are_even():

@@ -13,7 +13,7 @@ FINDERS = {
     "deg4_heavy_triangle": graphlib.find_deg4_heavy_triangle,
     "deg4_in_triangle": graphlib.find_deg4_in_triangle,
     "deg4_adjacent_deg3": graphlib.find_deg4_adjacent_deg3,
-    "low_degree_edge": graphlib.find_low_degree_edge,
+    "low_degree_edge": graphlib.low_degree_edges,
     "degree_two_path": graphlib.find_degree_two_path,
     "pendant_chain": graphlib.find_pendant_chain,
     "trivial_components": graphlib.find_trivial_components,
