@@ -25,14 +25,17 @@ print("C7 cpp  with budget 0:", solve_cpp(c7, 0, repeats=10, seed=1).answer)
 print("C7 cpp  with budget 1:", solve_cpp(c7, 1, repeats=10, seed=1).answer)
 
 # The randomized side never answers yes wrongly; a no on a yes-instance
-# happens with probability at most (1/3)^repeats.
+# happens with probability at most (1/3)^repeats per cut & count decision.
+# Most leaves never get there: the deletion DP's minimum is a floor for
+# co-path packing, and a witness of it that leaves no cycle is a solution.
 g = gnm_graph(9, 14, seed=4)
 truth = oracle_min(g, "cpp")
 print("\nrandom 9-vertex graph: oracle minimum for cpp =", truth)
 for k in range(truth - 1, truth + 2):
     out = solve_cpp(g, k, repeats=12, seed=7)
-    print("  budget %d -> %s  (nodes=%d, cut&count leaves=%d)"
-          % (k, "yes" if out.answer else "no", out.stats.nodes, out.stats.dp_calls))
+    print("  budget %d -> %s, witness %s (nodes=%d, deletion DPs=%d, cut&count decisions=%d)"
+          % (k, "yes" if out.answer else "no", out.witness and sorted(out.witness), out.stats.nodes,
+             out.stats.dp_calls, out.stats.cc_calls))
 
 # Statistics show how much work the search did.
 out = solve_cpcp(gnm_graph(9, 20, seed=11), 3)

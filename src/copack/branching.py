@@ -3,8 +3,9 @@
 One depth-first branch and bound serves both problems: it runs the
 reductions to a fixpoint at every node, solves the components left one at a
 time, fires the first applicable branching step on each, whose children are
-the vertex sets they delete, and hands proper components to the
-decomposition DPs. Cases the earlier fixpoints provably rule out raise InternalSolverError: a
+the vertex sets they delete, and hands proper components to the deletion
+DP, and those cpp components whose DP witness leaves a cycle on to cut &
+count. Cases the earlier fixpoints provably rule out raise InternalSolverError: a
 silent fallback there would mask a broken reduction, not recover from one.
 """
 
@@ -41,6 +42,7 @@ class SolveStats:
     nodes: int = 0
     reductions: int = 0
     dp_calls: int = 0
+    cc_calls: int = 0
     width: int = -1
     repeats: int = 0
     guard_rejects: int = 0
@@ -51,6 +53,7 @@ class SolveStats:
         self.nodes += other.nodes
         self.reductions += other.reductions
         self.dp_calls += other.dp_calls
+        self.cc_calls += other.cc_calls
         self.width = max(self.width, other.width)
         self.repeats += other.repeats
         self.guard_rejects += other.guard_rejects
@@ -61,6 +64,7 @@ class SolveStats:
 class SolveOutcome:
     answer: bool
     witness: set[int] | None
+    size: int | None  # the deletion set's size on yes, the minimum in exact mode
     stats: SolveStats
 
 
@@ -367,12 +371,19 @@ def _pick_step(g: Graph, problem: str) -> BranchSet | None:
 # -------------------------------------------------------------------- search
 
 
-def cpp_leaf(g: Graph, k: int, events, repeats: int, seed: int, stats: SolveStats) -> bool:
-    """Cut & count at budget k with up to `repeats` weightings derived from
-    `seed`; stops at the first yes and counts the runs it made into stats."""
-    runs = cutcount.decide_cpp(g, k, events, repeats, seed)
-    stats.repeats += runs or repeats
-    return runs > 0
+def least_cpp_budget(g: Graph, lo: int, cap: int, events, repeats: int, seed: int,
+                     stats: SolveStats) -> int | None:
+    """The least budget in lo..cap at which cut & count, with up to `repeats`
+    weightings per budget, accepts g, or None. The i-th cut & count decision
+    of a solve draws derive_seed(seed, i), counted by stats.cc_calls, so
+    stats must start at zero."""
+    for k in range(lo, cap + 1):
+        runs = cutcount.decide_cpp(g, k, events, repeats, cutcount.derive_seed(seed, stats.cc_calls))
+        stats.cc_calls += 1
+        stats.repeats += runs or repeats
+        if runs:
+            return k
+    return None
 
 
 def _drive(frame):
@@ -400,7 +411,9 @@ class _Search:
 
     A frame returns (size, witness) for a deletion set within its cap, or
     None when there is none; in exact mode the size is the minimum. A
-    witness is None once a cut & count leaf, which finds none, is in it.
+    witness is None once a cut & count leaf, which finds none, is in it;
+    only such a leaf can read a minimum too high or miss a yes, with
+    probability at most (1/3)^repeats per cut & count decision.
     Each connected graph is memoized for the length of the solve, keyed by
     its edges: ids are stable, so equal subgraphs in sibling branches share
     an entry. An entry is its minimum with a witness, or a cap the minimum
@@ -475,56 +488,53 @@ class _Search:
         return best
 
     def leaf(self, g: Graph, cap: int, exact: bool):
-        """A proper graph: the deletion DP's minimum (cpcp), or cut & count
-        decisions at ascending budgets from the least one the guard passes,
-        or at the cap alone outside exact mode (cpp). The i-th decision of
-        the solve draws derive_seed(seed, i), so stats must start at zero."""
+        """A proper graph: past the guard, the deletion DP's minimum. Every
+        path packing is a path/cycle packing, so for cpp that minimum is a
+        floor, and a witness leaving no cycle reaches it. Any other cpp leaf
+        goes to cut & count: at budgets from the floor up in exact mode, or
+        at the cap alone."""
         if not decomp.is_proper(g):
             raise InternalSolverError("branching left a non-proper graph: %s" % (g.edges(),))
-        guard = decomp.guard_check(g, cap)
-        if not guard.ok:
+        if not decomp.guard_check(g, cap).ok:
             self.stats.guard_rejects += 1
             return None
         events = decomp.to_nice(decomp.decomposition_for(g))
         self.stats.width = max(self.stats.width, events.width)
-        if self.problem == "cpcp":
-            self.stats.dp_calls += 1
-            size, wit = bdd_dp_solve(g, events, 2)
-            return (size, wit) if size <= cap else None
-        lo = max((guard.n3 + 2 * guard.n4 + 3) // 4, (g.alive_count + 99) // 100) if exact else cap
-        for k in range(lo, cap + 1):
-            self.stats.dp_calls += 1
-            seed = cutcount.derive_seed(self.seed, self.stats.dp_calls - 1)
-            if cpp_leaf(g, k, events, self.repeats, seed, self.stats):
-                return k, None
-        return None
+        self.stats.dp_calls += 1
+        size, wit = bdd_dp_solve(g, events, 2)
+        if size > cap:
+            return None
+        if self.problem == "cpcp" or g.without_vertices(wit).is_linear_forest():
+            return size, wit
+        k = least_cpp_budget(g, size if exact else cap, cap, events, self.repeats, self.seed, self.stats)
+        return None if k is None else (k, None)
+
+
+def _solve(problem: str, g: Graph, k: int, exact: bool, repeats: int, seed: int) -> SolveOutcome:
+    stats = SolveStats()
+    found = _Search(problem, stats, repeats, seed).solve(g, k, exact) if k >= 0 else None
+    if found is None:
+        return SolveOutcome(False, None, None, stats)
+    size, wit = found
+    if size > k or wit is not None and (size != len(wit) or not verify(g, wit, problem)):
+        raise InternalSolverError("produced witness fails verification")
+    return SolveOutcome(True, wit, size, stats)
 
 
 def solve_cpcp(g: Graph, k: int, exact: bool = False) -> SolveOutcome:
     """Decide whether deleting at most k vertices leaves maximum degree <= 2;
     on yes, return a verifying deletion set of size <= k, a minimum one if
     exact."""
-    stats = SolveStats()
-    if k < 0:
-        return SolveOutcome(False, None, stats)
-    found = _Search("cpcp", stats, 0, 0).solve(g, k, exact)
-    if found is None:
-        return SolveOutcome(False, None, stats)
-    size, wit = found
-    if size != len(wit) or size > k or not verify(g, wit, "cpcp"):
-        raise InternalSolverError("produced witness fails verification")
-    return SolveOutcome(True, wit, stats)
+    return _solve("cpcp", g, k, exact, 0, 0)
 
 
-def solve_cpp(g: Graph, k: int, repeats: int = 10, seed: int = 0) -> SolveOutcome:
-    """Decide whether deleting at most k vertices leaves disjoint paths.
+def solve_cpp(g: Graph, k: int, repeats: int = 10, seed: int = 0, exact: bool = False) -> SolveOutcome:
+    """Decide whether deleting at most k vertices leaves disjoint paths; on
+    yes, return the size found, the minimum if exact, with a verifying
+    deletion set unless a cut & count leaf is in it.
 
-    Decision only. A yes is always correct. A no is wrong with probability
-    at most (1/3)^repeats per cut & count leaf decision at its component's
-    true minimum: a component's minimum read too high can only cause a no.
+    A yes is always correct. A no, or a minimum read too high, comes only
+    from a cut & count leaf decision, each of which misses a yes at its
+    budget with probability at most (1/3)^repeats.
     """
-    stats = SolveStats()
-    if k < 0:
-        return SolveOutcome(False, None, stats)
-    found = _Search("cpp", stats, repeats, seed).solve(g, k)
-    return SolveOutcome(found is not None, None, stats)
+    return _solve("cpp", g, k, exact, repeats, seed)

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 from . import generators
 from .bdd import bdd_dp_solve
-from .branching import SolveStats, cpp_leaf, solve_cpcp, solve_cpp
+from .branching import SolveStats, least_cpp_budget, solve_cpcp, solve_cpp
 from .decomp import Violation, decomposition_for, parse_decomposition, to_nice, validate
 from .dimacs import parse_graph, write_graph
 from .errors import InternalSolverError
@@ -110,16 +110,10 @@ def _events_for(g: Graph, cfg: RunConfig):
     return to_nice(pd)
 
 
-def _exact(cfg: RunConfig) -> bool:
-    """Whether the route computes the minimum itself, which answers every
-    k; only cut & count, outside oracle mode, decides one k at a time."""
-    return cfg.problem != "cpp" or cfg.mode == "oracle"
-
-
 def _solve_decision(g: Graph, k: int, cfg: RunConfig, stats: SolveStats, events):
-    """One solve at budget k, counted into stats: (answer, witness or None,
-    the minimum on the exact routes or None). Given events, the graph's
-    decomposition, the leaf DP runs on the whole graph. An exact route's
+    """One solve at budget k, exact under --optimize, counted into stats:
+    (answer, witness or None, the minimum or None). Given events, the
+    graph's decomposition, the deletion DP runs on the whole graph. A
     witness must verify, or the solver is at fault."""
     if cfg.mode == "oracle":
         wit = oracle_witness(g, cfg.problem, cfg.d)
@@ -127,18 +121,21 @@ def _solve_decision(g: Graph, k: int, cfg: RunConfig, stats: SolveStats, events)
     elif events is not None:
         stats.dp_calls += 1
         stats.width = max(stats.width, events.width)
-        if cfg.problem == "cpp":
-            return cpp_leaf(g, k, events, cfg.repeats, cfg.seed, stats), None, None
         mn, wit = bdd_dp_solve(g, events, problem_bounds(cfg.problem, cfg.d)[0])
-    elif cfg.problem == "cpp":
-        out = solve_cpp(g, k, cfg.repeats, cfg.seed)
-        stats.add(out.stats)
-        return out.answer, None, None
+        if cfg.problem == "cpp":
+            # the deletion DP's minimum is a floor on cpp's: under --optimize
+            # cut & count climbs from it, and it refutes any k below it
+            found = least_cpp_budget(g, mn if cfg.optimize else max(mn, k), k, events,
+                                     cfg.repeats, cfg.seed, stats)
+            return found is not None, None, (found if cfg.optimize else None)
     else:
-        # with --optimize the search is exact; solve_cpcp verifies its witness
-        out = solve_cpcp(g, k, cfg.optimize)
+        if cfg.problem == "cpp":
+            out = solve_cpp(g, k, cfg.repeats, cfg.seed, cfg.optimize)
+        else:
+            out = solve_cpcp(g, k, cfg.optimize)
+        # the search verifies any witness it returns
         stats.add(out.stats)
-        return out.answer, out.witness, (len(out.witness) if cfg.optimize else None)
+        return out.answer, out.witness, (out.size if cfg.optimize else None)
     if len(wit) != mn or not verify(g, wit, cfg.problem, cfg.d):
         raise InternalSolverError("exact witness of size %d fails verification" % mn)
     return mn <= k, (wit if mn <= k else None), mn
@@ -152,33 +149,19 @@ def command_solve(cfg: RunConfig, path: str):
     record: dict = {"problem": cfg.problem, "mode": cfg.mode}
     if cfg.problem == "bdd":
         record["d"] = cfg.d
+    if not cfg.optimize:
+        record["k"] = cfg.k
     start = time.monotonic()
     stats = SolveStats()
-    # the whole-graph DP routes decompose once for every decision
     events = _events_for(g, cfg) if cfg.whole_dp else None
-    searched = cfg.optimize and not _exact(cfg)
-    if searched:
-        # cut & count decides one k at a time: binary-search the minimum
-        lo, hi = 0, g.alive_count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _solve_decision(g, mid, cfg, stats, events)[0]:
-                hi = mid
-            else:
-                lo = mid + 1
-        ans, witness, mn = True, None, lo
-    else:
-        if not cfg.optimize:
-            record["k"] = cfg.k
-        ans, witness, mn = _solve_decision(g, g.alive_count if cfg.optimize else cfg.k, cfg, stats, events)
+    ans, witness, mn = _solve_decision(g, g.alive_count if cfg.optimize else cfg.k, cfg, stats, events)
     record["answer"] = "yes" if ans else "no"
     if mn is not None:
         record["min_size"] = mn
-    if searched:
-        # union bound over every cut & count leaf decision the search made:
-        # each can miss a yes with probability <= (1/3)^repeats; guard
-        # rejections are sound
-        record["fail_bound"] = "%.3g" % (stats.dp_calls * (1.0 / 3.0) ** cfg.repeats)
+    if cfg.problem == "cpp" and cfg.mode != "oracle":
+        # union bound over every cut & count decision, each of which can miss
+        # a yes with probability <= (1/3)^repeats; the rest is exact
+        record["fail_bound"] = "%.3g" % (stats.cc_calls * (1.0 / 3.0) ** cfg.repeats)
     if witness is not None:
         record["witness"] = ",".join(str(v) for v in sorted(witness))
     record.update(asdict(stats))

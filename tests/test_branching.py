@@ -259,8 +259,9 @@ def test_solve_cpcp_examples():
 def test_solve_cpp_examples():
     assert not solve_cpp(cycle_graph(7), 0, repeats=5, seed=1).answer
     assert solve_cpp(cycle_graph(7), 1, repeats=10, seed=1).answer
-    out = solve_cpp(complete_graph(4), 2, repeats=10, seed=1)
-    assert out.answer and out.witness is None
+    k4 = complete_graph(4)
+    out = solve_cpp(k4, 2, repeats=10, seed=1)
+    assert out.answer and out.size == len(out.witness) == 2 and verify(k4, out.witness, "cpp")
 
 
 def test_solve_rejects_nothing_weird():
@@ -293,21 +294,42 @@ def test_oracle_equivalence_cpp(rng):
 def test_cpp_leaves_draw_consecutive_seeds(monkeypatch):
     """The i-th cut & count decision of a search gets derive_seed(seed, i),
     whether it decides a leaf at the cap or one of a leaf's ascending budgets
-    in exact mode; a leaf the guard rejects draws no seed."""
-    seeds = []
+    in exact mode. Only a leaf whose deletion-DP witness leaves a cycle
+    reaches cut & count; one the guard or the deletion DP refutes draws no
+    seed."""
+    from copack.generators import proper_graph
+
+    # proper graphs the search hands to a leaf whole: a's cpp minimum is
+    # above its cpcp minimum, b's equals it
+    a, b = proper_graph(13, 66), proper_graph(12, 9)
+    assert (oracle_min(a, "cpcp"), oracle_min(a, "cpp")) == (2, 3)
+    assert (oracle_min(b, "cpcp"), oracle_min(b, "cpp")) == (2, 2)
+    ab = disjoint_union(a, b)
+    decisions = []
     decide = cutcount.decide_cpp
 
     def recording(g, k, events, repeats, seed):
-        seeds.append(seed)
+        decisions.append((g.alive_count, k, seed))
         return decide(g, k, events, repeats, seed)
 
     monkeypatch.setattr(cutcount, "decide_cpp", recording)
-    for g, k, leaves, rejects in ((planted_graph(48, 6, 1), 5, 5, 13), (planted_graph(30, 4, 0), 3, 1, 5)):
-        seeds.clear()
-        out = solve_cpp(g, k, repeats=2, seed=7)
-        assert not out.answer
-        assert (out.stats.dp_calls, out.stats.guard_rejects) == (leaves, rejects)
-        assert seeds == [cutcount.derive_seed(7, i) for i in range(leaves)]
+    # (graph, k, exact, size found or None, (dp_calls, guard_rejects), the
+    # leaf and budget of each cut & count decision)
+    cases = (
+        (a, 2, False, None, (1, 0), [(13, 2)]),
+        (a, 13, True, 3, (1, 0), [(13, 2), (13, 3)]),
+        (a, 0, False, None, (0, 1), []),
+        (ab, 4, False, None, (2, 0), [(12, 2), (13, 2)]),
+        (ab, 3, False, None, (2, 0), [(12, 2)]),
+        (ab, 25, True, 5, (2, 0), [(12, 2), (13, 2), (13, 3)]),
+    )
+    for g, k, exact, size, leaves, budgets in cases:
+        decisions.clear()
+        out = solve_cpp(g, k, repeats=2, seed=7, exact=exact)
+        assert out.size == size and out.witness is None, (k, exact)
+        assert (out.stats.dp_calls, out.stats.guard_rejects) == leaves, (k, exact)
+        assert out.stats.cc_calls == len(budgets)
+        assert decisions == [(n, kk, cutcount.derive_seed(7, i)) for i, (n, kk) in enumerate(budgets)]
 
 
 def test_branch_sets_are_exhaustive(rng):
