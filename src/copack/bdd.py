@@ -1,11 +1,24 @@
 """Deletion DP over introduce/forget events: minimum vertex set whose removal
-leaves maximum degree at most d, in O*((d+2)^width) table size.
+leaves maximum degree at most d, in at most O*((d+2)^width) table size.
 
 Bag vertices carry one label each: "deleted" (d + 1), or "kept with degree
 exactly j among already-processed kept vertices" for j in 0..d. Introducing a
 kept vertex bumps each kept bag-neighbor's degree label by one; a label past d
 kills the branch. Forgetting a vertex projects its label away, keeping the
 cheaper table entry.
+
+The table keeps only undominated labellings. Switching a kept vertex to
+deleted never hurts a completion: a deleted vertex constrains nothing and
+adds no degree, so every completion of the kept labelling also completes
+the deleted one. Hence a labelling that the same labelling with one kept
+field set to deleted matches at no greater cost can never lead to a cheaper
+solution, and is dropped: after each forget, by one lookup per kept field;
+at each introduce, the kept child of s is skipped when the table holds
+bump(s), s after its degree bumps, at a lower cost, since that entry's
+child deleting v then costs no more. Each dropped labelling has strictly
+fewer deleted fields than the one that matches it, so every chain of drops
+ends in a kept entry that matches them all: minima are unchanged, and the
+final entry's mask is still a minimum witness.
 
 A bag labelling is one int of w = (d+1).bit_length() bit fields, bag
 position i in bits i*w .. i*w + w - 1, so the labels 0..d+1 fit. Introducing
@@ -59,18 +72,30 @@ def bdd_dp_solve(g: Graph, events: NiceEventSequence, d: int) -> tuple[int, set[
                     s += 1 << j
                     kept_nbrs += 1
                 else:
-                    if kept_nbrs <= d:
+                    rival = table.get(s)  # s is bump(s) now; a cheaper one's v-deleted child wins
+                    if kept_nbrs <= d and (rival is None or rival.bit_count() >= cost):
                         nl = (s & low) | ((s >> sh) << (sh + w)) | (kept_nbrs << sh)
                         old = new.get(nl)
                         if old is None or cost < old.bit_count():
                             new[nl] = mask
             assert len(new) <= (d + 2) ** (len(bag) + 1)
         else:
+            projected: dict[int, int] = {}
             for s, mask in table.items():
                 nl = (s & low) | ((s >> (sh + w)) << sh)
-                old = new.get(nl)
+                old = projected.get(nl)
                 if old is None or mask.bit_count() < old.bit_count():
-                    new[nl] = mask
+                    projected[nl] = mask
+            for s, mask in projected.items():
+                cost = mask.bit_count()
+                for j in range(0, (len(bag) - 1) * w, w):
+                    l = s >> j & field
+                    if l != del_label:
+                        rival = projected.get(s + (del_label - l << j))
+                        if rival is not None and rival.bit_count() <= cost:
+                            break
+                else:
+                    new[s] = mask
         table = new
 
     mask = table[0]

@@ -9,6 +9,7 @@ from copack.decomp import NiceEventSequence, PathDecomposition, exact_pathwidth,
 from copack.generators import complete_graph, cycle_graph, gnm_graph, grid_graph, path_graph, proper_graph
 from copack.graph import Graph
 from copack.oracles import oracle_min, verify
+from bdd_reference import reference_bdd_dp
 from conftest import all_graphs, layout_decomposition, random_graph, shuffled
 
 
@@ -116,6 +117,37 @@ def test_wide_layout_matches_exact_decomposition():
             assert size == bdd_dp_solve(g, to_nice(exact), d)[0] and verify(g, wit, "bdd", d), d
 
 
+def banded_graph(seed):
+    """15 to 60 vertex ids, each edge joining ids at most 2 to 6 apart, and a
+    few vertices deleted: the id-order layout stays narrow enough for the
+    unpruned reference."""
+    rng = random.Random(seed)
+    n, band = rng.randint(15, 60), rng.randint(2, 6)
+    p = rng.uniform(0.4, 0.9)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, min(n, u + band + 1)) if rng.random() < p]
+    g = Graph.from_edges(n, edges)
+    g.remove_vertices(rng.sample(range(n), rng.randint(0, n // 8)))
+    return g
+
+
+def test_pruned_tables_match_the_unpruned_reference():
+    """Past the oracle: on greedy, id-order and (up to 22 vertices) exact
+    decompositions, dropping dominated labellings keeps the reference's
+    minimum, and the witness is a deletion set of that size."""
+    graphs = [banded_graph(t + 8800) for t in range(120)]
+    graphs += [proper_graph(n, s) for n in range(15, 31, 3) for s in range(2)]
+    for t, g in enumerate(graphs):
+        decs = [heuristic_pd(g), layout_decomposition(g, g.vertices())]
+        if g.alive_count <= 22:
+            decs.append(exact_pathwidth(g)[1])
+        for pd in decs:
+            ev = to_nice(pd)
+            for d in (0, 1, 2, 3):
+                size, wit = bdd_dp_solve(g, ev, d)
+                assert size == reference_bdd_dp(g, ev, d)[0], (t, pd.width, d)
+                assert len(wit) == size and verify(g, wit, "bdd", d), (t, pd.width, d)
+
+
 def test_bad_events_rejected():
     g = path_graph(3)
     weights = sample_weights(g, 0)
@@ -148,7 +180,9 @@ def test_bad_events_rejected():
 
 
 def test_table_memory_stays_small():
-    # one deletion mask per entry: the peak follows the largest table, not the event count
+    # one deletion mask per entry: the peak follows the largest table, not the
+    # event count. Only undominated labellings stay: about 0.22 MB, against
+    # 1.14 MB with every reachable labelling kept
     g = grid_graph(7, 10)
     ev = to_nice(heuristic_pd(g))
     tracemalloc.start()
@@ -157,4 +191,4 @@ def test_table_memory_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < 2**19

@@ -279,13 +279,30 @@ def test_main_exit_codes(tmp_path, capsys):
 
 
 def test_cpp_solves_a_planted_graph_of_220_vertices(tmp_path, capsys):
-    """Its first leaf has 82 vertices in 5 components; the cut & count table
-    keyed only by what the decision reads stays small on it."""
+    """At -k 20 the search answers yes; every leaf it reaches settles in the
+    deletion DP, whose witness leaves no cycle, so no cut & count runs. The
+    cut & count table's memory is gated on a cpp --mode dp solve in CI."""
     assert main(["gen", "planted", "--forest-n", "200", "--k", "20", "--seed", "3"]) == 0
     f = tmp_path / "planted.gr"
     f.write_text(capsys.readouterr().out)
     assert main(["solve", "--problem", "cpp", "-k", "20", str(f)]) == 0
     assert "answer=yes" in capsys.readouterr().out
+
+
+def test_bdd_optimize_on_a_planted_graph_of_220_vertices(tmp_path, capsys):
+    """One deletion DP over a greedy decomposition of width 11 per d. With
+    every reachable labelling kept, these took 5-35 s and up to 208 MB; with
+    dominated labellings dropped, well under a second each."""
+    from copack.oracles import verify
+
+    assert main(["gen", "planted", "--forest-n", "200", "--k", "20", "--seed", "3"]) == 0
+    f = tmp_path / "planted.gr"
+    f.write_text(capsys.readouterr().out)
+    g = parse_graph(f.read_text())
+    for d, mn in ((1, 57), (2, 15), (3, 5)):
+        rec, code = command_solve(RunConfig(problem="bdd", d=d, optimize=True), str(f))
+        wit = {int(v) for v in rec["witness"].split(",")}
+        assert code == 0 and rec["min_size"] == mn and len(wit) == mn and verify(g, wit, "bdd", d), d
 
 
 def test_main_internal_error_exits_2(tmp_path, capsys, monkeypatch):
