@@ -2,7 +2,8 @@
 
 One depth-first branch and bound serves both problems: it runs the
 reductions to a fixpoint at every node, solves the components left one at a
-time, fires the first applicable branching step on each, whose children are
+time, refutes any whose claw packing exceeds its budget, fires the first
+applicable branching step on each, whose children are
 the vertex sets they delete, and hands proper components to the deletion
 DP, and those cpp components whose DP witness leaves a cycle on to cut &
 count. Cases the earlier fixpoints provably rule out raise InternalSolverError: a
@@ -46,6 +47,7 @@ class SolveStats:
     width: int = -1
     repeats: int = 0
     guard_rejects: int = 0
+    bound_prunes: int = 0
     memo_hits: int = 0
 
     def add(self, other: SolveStats):
@@ -57,6 +59,7 @@ class SolveStats:
         self.width = max(self.width, other.width)
         self.repeats += other.repeats
         self.guard_rejects += other.guard_rejects
+        self.bound_prunes += other.bound_prunes
         self.memo_hits += other.memo_hits
 
 
@@ -165,23 +168,27 @@ _REDUCTIONS = {
 }
 
 
-def _delete_trivial_components(inst: Instance, acyclic: bool, stats: SolveStats):
-    """Delete every small or cycle component at its minimum cost: subset
+def _trivial_cut(g: Graph, comp, acyclic: bool):
+    """A least deletion set of comp, a trivial component of g: subset
     enumeration up to TRIVIAL_COMPONENT_SIZE vertices; a longer cycle costs
     one deletion for co-path packing and none for co-path/cycle packing."""
+    if len(comp) <= graphlib.TRIVIAL_COMPONENT_SIZE:
+        return min_deletion_set(g, comp, 2, acyclic)
+    return comp[:1] if acyclic else ()
+
+
+def _delete_trivial_components(inst: Instance, acyclic: bool, stats: SolveStats):
+    """Delete every trivial component at its minimum cost."""
     for comp in graphlib.find_trivial_components(inst.graph) or ():
-        if len(comp) <= graphlib.TRIVIAL_COMPONENT_SIZE:
-            cut = min_deletion_set(inst.graph, comp, 2, acyclic)
-        else:
-            cut = comp[:1] if acyclic else ()
-        stats.reductions += _delete(inst, comp, cut)
+        stats.reductions += _delete(inst, comp, _trivial_cut(inst.graph, comp, acyclic))
 
 
-def _reduce(inst: Instance, problem: str, stats: SolveStats) -> Instance:
+def _reduce(inst: Instance, problem: str, stats: SolveStats, settle: bool) -> Instance:
     """Delete the trivial components, fire the first applicable local rule
-    until none applies or the budget runs out, then delete the components it
-    left trivial. A local rule acts inside one component and only shrinks it,
-    so this is the fixpoint that deletes trivial components as they appear."""
+    until none applies or the budget runs out, then, if settle, delete the
+    components it left trivial. A local rule acts inside one component and
+    only shrinks it, so this is the fixpoint that deletes trivial components
+    as they appear."""
     acyclic = problem == "cpp"
     _delete_trivial_components(inst, acyclic, stats)
     fired = False
@@ -194,19 +201,22 @@ def _reduce(inst: Instance, problem: str, stats: SolveStats) -> Instance:
                 break
         else:
             break
-    if fired:
+    if fired and settle:
         _delete_trivial_components(inst, acyclic, stats)
     return inst
 
 
-def reduce_cpcp(inst: Instance, stats: SolveStats | None = None) -> Instance:
-    """Fixpoint of the co-path/cycle packing reductions, in place."""
-    return _reduce(inst, "cpcp", stats or SolveStats())
+def reduce_cpcp(inst: Instance, stats: SolveStats | None = None, *, settle: bool = True) -> Instance:
+    """Fixpoint of the co-path/cycle packing reductions, in place. With
+    settle=False the components the local rules left trivial stay, for a
+    caller that walks the components next anyway."""
+    return _reduce(inst, "cpcp", stats or SolveStats(), settle)
 
 
-def reduce_cpp(inst: Instance, stats: SolveStats | None = None) -> Instance:
-    """Fixpoint of the co-path packing reductions, in place."""
-    return _reduce(inst, "cpp", stats or SolveStats())
+def reduce_cpp(inst: Instance, stats: SolveStats | None = None, *, settle: bool = True) -> Instance:
+    """Fixpoint of the co-path packing reductions, in place; settle as in
+    reduce_cpcp."""
+    return _reduce(inst, "cpp", stats or SolveStats(), settle)
 
 
 # ------------------------------------------------------------------- steps
@@ -435,18 +445,31 @@ class _Search:
         return _drive(self.node(Instance(g.copy(), k, set()), exact))
 
     def node(self, inst: Instance, exact: bool):
-        """Reduce inst in place, then solve its components smallest first,
-        each capped by the budget the others leave. Every component but the
-        last gets its minimum; the last, in a decision, only a first yes."""
-        self.reduce(inst, self.stats)
+        """Reduce inst in place and settle each trivial component it leaves,
+        then solve the others smallest first, each capped by the budget the
+        others leave. Every component but the last gets its minimum; the
+        last, in a decision, only a first yes."""
+        self.reduce(inst, self.stats, settle=False)
+        if inst.k < 0:
+            return None
+        parts = []
+        for part in inst.graph.split():
+            comp = part.vertices()
+            if graphlib.is_trivial(part, comp):
+                cut = _trivial_cut(part, comp, self.problem == "cpp")
+                inst.deleted.update(cut)
+                inst.k -= len(cut)
+                self.stats.reductions += 1
+            else:
+                parts.append(part)
         if inst.k < 0:
             return None
         size, wit = len(inst.deleted), inst.deleted
         left = inst.k
-        parts = sorted(inst.graph.split(), key=lambda h: h.alive_count)
+        parts.sort(key=lambda h: h.alive_count)
         for i, part in enumerate(parts):
-            # every component the reductions leave has a vertex of degree
-            # >= 3, so each one still to come costs at least 1
+            # every component left has a vertex of degree >= 3, so each one
+            # still to come costs at least 1
             later = len(parts) - 1 - i
             found = yield self.component(part, left - later, exact or later > 0)
             if found is None:
@@ -457,9 +480,10 @@ class _Search:
         return size, wit
 
     def component(self, g: Graph, cap: int, exact: bool):
-        """Solve the connected, reduced graph g within cap. A branch node
-        runs a child only if it can beat the best found so far; a decision
-        stops at its first yes."""
+        """Solve the connected, reduced graph g within cap. A claw packing
+        larger than cap refutes it outright. A branch node runs a child only
+        if it can beat the best found so far; a decision stops at its first
+        yes."""
         if cap < 0:
             return None
         key = g.edge_key()
@@ -467,6 +491,10 @@ class _Search:
         if known is not None or self.above.get(key, -1) >= cap:
             self.stats.memo_hits += 1
             return known if known is not None and known[0] <= cap else None
+        if graphlib.claw_packing(g, cap) > cap:
+            self.stats.bound_prunes += 1
+            self.above[key] = cap
+            return None
         bs = _pick_step(g, self.problem)
         if bs is None:
             best = self.leaf(g, cap, exact)

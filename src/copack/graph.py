@@ -331,11 +331,47 @@ def find_pendant_chain(g: Graph):
     return None
 
 
+def is_trivial(g: Graph, comp) -> bool:
+    """Whether the component comp of g has at most TRIVIAL_COMPONENT_SIZE
+    vertices or is a cycle: every vertex has degree 2."""
+    return len(comp) <= TRIVIAL_COMPONENT_SIZE or all(len(g._adj[v]) == 2 for v in comp)
+
+
 def find_trivial_components(g: Graph):
-    """Every component with at most TRIVIAL_COMPONENT_SIZE vertices or in which
-    every vertex has degree 2 (a cycle), or None if there is none."""
-    found = [
-        tuple(comp) for comp in g.components()
-        if len(comp) <= TRIVIAL_COMPONENT_SIZE or all(len(g._adj[v]) == 2 for v in comp)
-    ]
+    """Every trivial component (see is_trivial), or None if there is none."""
+    found = [tuple(comp) for comp in g.components() if is_trivial(g, comp)]
     return found or None
+
+
+def claw_packing(g: Graph, cap: int) -> int:
+    """The size of a packing of vertex-disjoint claws in g, counted until it
+    exceeds cap. A claw is a vertex with three of its neighbors; every claw
+    keeps a vertex of degree 3 unless one of its four vertices is deleted, so
+    the size is a lower bound on any deletion set leaving maximum degree <= 2.
+
+    Greedy: centres of degree >= 3, highest degree first, each taking the
+    three unused neighbors of lowest degree. A packing has at most one claw
+    per centre and one per four vertices, so the greedy stops, with the
+    claws taken so far, once those limits on what is left cannot take the
+    count past cap."""
+    adj = g._adj
+    if len(adj) // 4 <= cap:
+        return 0
+    centres = [v for v, nb in adj.items() if len(nb) >= 3]
+    centres.sort(key=lambda v: -len(adj[v]))  # stable: equal degrees stay in id order
+    used = set()
+    count = 0
+    for i, v in enumerate(centres):
+        if count + min(len(centres) - i, (len(adj) - len(used)) // 4) <= cap:
+            break
+        if v in used:
+            continue
+        free = adj[v] - used
+        if len(free) < 3:
+            continue
+        used.add(v)
+        used.update(sorted(free, key=lambda u: (len(adj[u]), u))[:3])
+        count += 1
+        if count > cap:
+            break
+    return count

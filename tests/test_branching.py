@@ -295,8 +295,8 @@ def test_cpp_leaves_draw_consecutive_seeds(monkeypatch):
     """The i-th cut & count decision of a search gets derive_seed(seed, i),
     whether it decides a leaf at the cap or one of a leaf's ascending budgets
     in exact mode. Only a leaf whose deletion-DP witness leaves a cycle
-    reaches cut & count; one the guard or the deletion DP refutes draws no
-    seed."""
+    reaches cut & count; one the claw bound, the guard or the deletion DP
+    refutes draws no seed."""
     from copack.generators import proper_graph
 
     # proper graphs the search hands to a leaf whole: a's cpp minimum is
@@ -305,6 +305,10 @@ def test_cpp_leaves_draw_consecutive_seeds(monkeypatch):
     assert (oracle_min(a, "cpcp"), oracle_min(a, "cpp")) == (2, 3)
     assert (oracle_min(b, "cpcp"), oracle_min(b, "cpp")) == (2, 2)
     ab = disjoint_union(a, b)
+    # the Petersen graph is cubic with a greedy claw packing of 1, so at
+    # k = 1 the guard (n3 = 10 > 4k), not the claw bound, refutes it
+    petersen = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)])
     decisions = []
     decide = cutcount.decide_cpp
 
@@ -313,21 +317,22 @@ def test_cpp_leaves_draw_consecutive_seeds(monkeypatch):
         return decide(g, k, events, repeats, seed)
 
     monkeypatch.setattr(cutcount, "decide_cpp", recording)
-    # (graph, k, exact, size found or None, (dp_calls, guard_rejects), the
-    # leaf and budget of each cut & count decision)
+    # (graph, k, exact, size found or None, (dp_calls, guard_rejects,
+    # bound_prunes), the leaf and budget of each cut & count decision)
     cases = (
-        (a, 2, False, None, (1, 0), [(13, 2)]),
-        (a, 13, True, 3, (1, 0), [(13, 2), (13, 3)]),
-        (a, 0, False, None, (0, 1), []),
-        (ab, 4, False, None, (2, 0), [(12, 2), (13, 2)]),
-        (ab, 3, False, None, (2, 0), [(12, 2)]),
-        (ab, 25, True, 5, (2, 0), [(12, 2), (13, 2), (13, 3)]),
+        (a, 2, False, None, (1, 0, 0), [(13, 2)]),
+        (a, 13, True, 3, (1, 0, 0), [(13, 2), (13, 3)]),
+        (a, 0, False, None, (0, 0, 1), []),
+        (petersen, 1, False, None, (0, 1, 0), []),
+        (ab, 4, False, None, (2, 0, 0), [(12, 2), (13, 2)]),
+        (ab, 3, False, None, (2, 0, 0), [(12, 2)]),
+        (ab, 25, True, 5, (2, 0, 0), [(12, 2), (13, 2), (13, 3)]),
     )
     for g, k, exact, size, leaves, budgets in cases:
         decisions.clear()
         out = solve_cpp(g, k, repeats=2, seed=7, exact=exact)
         assert out.size == size and out.witness is None, (k, exact)
-        assert (out.stats.dp_calls, out.stats.guard_rejects) == leaves, (k, exact)
+        assert (out.stats.dp_calls, out.stats.guard_rejects, out.stats.bound_prunes) == leaves, (k, exact)
         assert out.stats.cc_calls == len(budgets)
         assert decisions == [(n, kk, cutcount.derive_seed(7, i)) for i, (n, kk) in enumerate(budgets)]
 
@@ -594,3 +599,40 @@ def test_equal_components_share_a_memo_entry():
     g = planted_graph(200, 20, 3)
     out = solve_cpcp(g, g.alive_count, exact=True)
     assert len(out.witness) == 15 and out.stats.memo_hits > 0
+
+
+def test_claw_bound_changes_no_answer_past_oracle(monkeypatch):
+    """planted(n, k, s) past the oracle, n = 40-150: the search with the
+    claw bound and with it disabled reads the same exact minima and the same
+    answers at the minimum and one below, for cpcp and cpp, and every
+    witness verifies."""
+    cases = [(n, k, s) for s, n in enumerate(range(40, 160, 10)) for k in (n // 20, n // 12)]
+    solvers = (("cpcp", lambda g, k, s, exact=False: solve_cpcp(g, k, exact)),
+               ("cpp", lambda g, k, s, exact=False: solve_cpp(g, k, seed=s, exact=exact)))
+    claw_packing = graphlib.claw_packing
+    read = {}
+    prunes = 0
+    for bound in (True, False):
+        monkeypatch.setattr(graphlib, "claw_packing", claw_packing if bound else lambda g, cap: 0)
+        for n, k, s in cases:
+            g = planted_graph(n, k, s)
+            for problem, solve in solvers:
+                exact = solve(g, g.alive_count, s, exact=True)
+                outs = [exact, solve(g, exact.size, s), solve(g, exact.size - 1, s)]
+                for out in outs:
+                    assert out.witness is None or len(out.witness) == out.size and verify(g, out.witness, problem)
+                read.setdefault((n, k, s, problem), []).append((exact.size, [out.answer for out in outs]))
+                prunes += sum(out.stats.bound_prunes for out in outs)
+    for key, (shipped, unpruned) in read.items():
+        assert shipped == unpruned and shipped[1] == [True, True, False], key
+    assert prunes > 0
+
+
+def test_claw_bound_settles_p200_cpp():
+    """p200 at cpp: the claw bound refutes k = 14 in a few dozen branch
+    nodes (2,246 without it), and k = 15 finds a verified 15-vertex witness."""
+    g = planted_graph(200, 20, 3)
+    no = solve_cpp(g, 14)
+    assert not no.answer and no.stats.nodes < 100 and no.stats.bound_prunes > 0
+    yes = solve_cpp(g, 15)
+    assert yes.answer and len(yes.witness) == 15 and verify(g, yes.witness, "cpp")

@@ -267,3 +267,46 @@ def test_edge_mutation():
         g.add_edge(2, 2)
     with pytest.raises(ValueError):
         g.remove_edge(0, 1)
+
+
+def _greedy_claws(g):
+    """The greedy claw packing's size with no early stop: centres highest
+    degree first, each taking its three unused neighbors of lowest degree."""
+    adj, used, count = g._adj, set(), 0
+    for v in sorted(adj, key=lambda v: -len(adj[v])):
+        free = adj[v] - used
+        if v not in used and len(free) >= 3:
+            used |= {v, *sorted(free, key=lambda u: (len(adj[u]), u))[:3]}
+            count += 1
+    return count
+
+
+def test_claw_packing_is_a_lower_bound():
+    """On graphs within the oracle's reach the claw packing never exceeds the
+    cpcp minimum nor the cpp minimum, its early stops never change whether it
+    exceeds a cap, and on many graphs it proves the minimum."""
+    import random
+
+    from copack.generators import planted_graph, proper_graph
+    from copack.oracles import oracle_min
+
+    rng = random.Random(1818)
+    proved = 0
+    for t in range(240):
+        if t % 3 == 0:
+            n = rng.randint(4, 14)
+            g = gnm_graph(n, rng.randint(n, min(3 * n, n * (n - 1) // 2)), rng.randrange(1 << 30))
+        elif t % 3 == 1:
+            g = proper_graph(rng.randint(6, 14), rng.randrange(1 << 30))
+        else:
+            k = rng.randint(1, 4)
+            g = planted_graph(rng.randint(4, 14 - k), k, rng.randrange(1 << 30))
+        greedy = _greedy_claws(g)
+        for cap in range(g.alive_count + 1):
+            assert (graphlib.claw_packing(g, cap) > cap) == (greedy > cap), (t, cap, g.edges())
+        for problem in ("cpcp", "cpp"):
+            mn = oracle_min(g, problem)
+            assert graphlib.claw_packing(g, mn) <= mn, (t, problem, g.edges())
+            assert greedy <= mn, (t, problem, g.edges())
+        proved += greedy == oracle_min(g, "cpcp") > 0
+    assert proved >= 60, proved
