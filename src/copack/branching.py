@@ -27,6 +27,9 @@ class Instance:
     graph: Graph
     k: int
     deleted: set[int]
+    # the vertices whose neighbor sets changed since the graph was last at the
+    # reduction fixpoint, or None for a graph never reduced
+    changed: set[int] | None = None
 
 
 @dataclass
@@ -119,29 +122,30 @@ def branch_b2(g: Graph, v: int, u: int) -> BranchSet:
 # ------------------------------------------------------------------ reductions
 
 
-# The actions below return how many reductions they count.
+# The actions below return how many reductions they count and the vertices
+# whose neighbor sets they changed.
 
 
-def _delete(inst: Instance, removed, deleted) -> int:
+def _delete(inst: Instance, removed, deleted):
     """Remove `removed` from the graph, of which `deleted` go into the solution."""
-    inst.graph.remove_vertices(removed)
+    changed = inst.graph.remove_vertices(removed)
     inst.deleted.update(deleted)
     inst.k -= len(deleted)
-    return 1
+    return 1, changed
 
 
-def _smooth(inst: Instance, a: int, mid: int, b: int) -> int:
+def _smooth(inst: Instance, a: int, mid: int, b: int):
     """Replace the path a - mid - b by the edge a - b."""
     inst.graph.remove_vertex(mid)
     inst.graph.add_edge(a, b)
-    return 1
+    return 1, (a, b)
 
 
-def _remove_edges(inst: Instance, edges) -> int:
+def _remove_edges(inst: Instance, edges):
     """Remove each edge, one reduction apiece."""
     for e in edges:
         inst.graph.remove_edge(*e)
-    return len(edges)
+    return len(edges), [v for e in edges for v in e]
 
 
 # Local reduction rules per problem, in firing order: (finder, action on the
@@ -169,18 +173,37 @@ _REDUCTIONS = {
 
 
 def _trivial_cut(g: Graph, comp, acyclic: bool):
-    """A least deletion set of comp, a trivial component of g: subset
-    enumeration up to TRIVIAL_COMPONENT_SIZE vertices; a longer cycle costs
-    one deletion for co-path packing and none for co-path/cycle packing."""
+    """A least deletion set of comp, a trivial component of g: none if it
+    has maximum degree <= 2 and, for co-path packing, is a path (degree sum
+    2(n - 1)); else subset enumeration up to TRIVIAL_COMPONENT_SIZE
+    vertices; a longer cycle costs one deletion for co-path packing and none
+    for co-path/cycle packing."""
+    adj = g._adj
+    total = 0
+    for v in comp:  # stops at the first degree above 2: a clique costs one lookup
+        d = len(adj[v])
+        if d > 2:
+            break
+        total += d
+    else:
+        if not acyclic or total == 2 * len(comp) - 2:
+            return ()
     if len(comp) <= graphlib.TRIVIAL_COMPONENT_SIZE:
         return min_deletion_set(g, comp, 2, acyclic)
     return comp[:1] if acyclic else ()
 
 
-def _delete_trivial_components(inst: Instance, acyclic: bool, stats: SolveStats):
-    """Delete every trivial component at its minimum cost."""
-    for comp in graphlib.find_trivial_components(inst.graph) or ():
-        stats.reductions += _delete(inst, comp, _trivial_cut(inst.graph, comp, acyclic))
+def _delete_trivial_components(inst: Instance, acyclic: bool, stats: SolveStats, scan=None):
+    """Delete every trivial component through a vertex of scan (None: every
+    one) at its minimum cost."""
+    comps = graphlib.find_trivial_components(inst.graph, scan)
+    if comps:
+        for comp in comps:
+            cut = _trivial_cut(inst.graph, comp, acyclic)
+            inst.deleted.update(cut)
+            inst.k -= len(cut)
+        stats.reductions += len(comps)
+        inst.graph.remove_vertices([v for comp in comps for v in comp])
 
 
 def _reduce(inst: Instance, problem: str, stats: SolveStats, settle: bool) -> Instance:
@@ -188,17 +211,29 @@ def _reduce(inst: Instance, problem: str, stats: SolveStats, settle: bool) -> In
     until none applies or the budget runs out, then, if settle, delete the
     components it left trivial. A local rule acts inside one component and
     only shrinks it, so this is the fixpoint that deletes trivial components
-    as they appear."""
+    as they appear.
+
+    Every trivial component and every new witness of a local rule holds a
+    vertex whose neighbor set changed, so the trivial pass walks out from
+    inst.changed, and each rule scans only the vertices changed since it
+    last came up empty (inst.changed at first; None scans all)."""
     acyclic = problem == "cpp"
-    _delete_trivial_components(inst, acyclic, stats)
+    _delete_trivial_components(inst, acyclic, stats, inst.changed)
+    rules = _REDUCTIONS[problem]
+    scans = [None if inst.changed is None else set(inst.changed) for _ in rules]
     fired = False
     while inst.k >= 0:
-        for find, act in _REDUCTIONS[problem]:
-            found = find(inst.graph)
+        for i, (find, act) in enumerate(rules):
+            found = find(inst.graph, scans[i])
             if found is not None:
-                stats.reductions += act(inst, found)
+                count, changed = act(inst, found)
+                stats.reductions += count
+                for scan in scans:
+                    if scan is not None:
+                        scan.update(changed)
                 fired = True
                 break
+            scans[i] = set()
         else:
             break
     if fired and settle:
@@ -504,7 +539,9 @@ class _Search:
             for ch in bs.children:
                 if len(ch) > cap:
                     continue
-                found = yield self.node(Instance(g.without_vertices(ch), cap - len(ch), set(ch)), exact)
+                child = g.copy()
+                changed = child.remove_vertices(ch)
+                found = yield self.node(Instance(child, cap - len(ch), set(ch), changed), exact)
                 if found is not None:
                     best, cap = found, found[0] - 1
                     if not exact:

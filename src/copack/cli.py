@@ -268,8 +268,9 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:
-        # a solver bug or a search too deep for the interpreter's stack: exit 1
-        # would read as "no", so report it as an error
+        # a solver bug, such as an InternalSolverError from a broken reduction
+        # or branching invariant, or running out of memory: exit 1 would read
+        # as "no", so report it as an error
         print("error: internal %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_ERROR
     return EXIT_ERROR

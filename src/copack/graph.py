@@ -173,9 +173,21 @@ class Graph:
             self._adj[u].discard(v)
         self._m -= len(self._adj.pop(v))
 
-    def remove_vertices(self, vs):
-        for v in sorted(set(vs)):
-            self.remove_vertex(v)
+    def remove_vertices(self, vs) -> set[int]:
+        """Remove every vertex of vs; return the vertices left that lost a
+        neighbor."""
+        vs = set(vs)
+        adj = self._adj
+        touched = set()
+        for v in sorted(vs):
+            self._check(v)
+            nb = adj.pop(v)
+            for u in nb:
+                adj[u].discard(v)
+            self._m -= len(nb)
+            touched |= nb
+        touched -= vs
+        return touched
 
     def without_vertices(self, vs) -> "Graph":
         g = self.copy()
@@ -204,9 +216,13 @@ class Graph:
 
 # -------------------------------------------------------- structure search
 #
-# All finders scan vertices and neighbors in increasing id order and return
-# the first witness (`low_degree_edges` and `find_trivial_components`: all of
-# them, in that order), so every caller is reproducible run-to-run.
+# Every finder returns its least witness in id order (`low_degree_edges` and
+# `find_trivial_components`: all of them, in that order), so every caller is
+# reproducible run-to-run. The reduction finders take `scan`, the vertices to
+# look from (None for all): each witness holds a vertex whose neighbor set
+# decides it, so after a finder comes up empty only witnesses through a
+# vertex whose neighbor set changed since can appear, and a scan of those
+# vertices returns what a scan of all would.
 
 
 def find_degree_ge5(g: Graph):
@@ -227,24 +243,24 @@ def find_dominating_deg4(g: Graph):
     return None
 
 
-def _triangles(g: Graph):
-    for u in g.vertices():
-        au = g._adj[u]
-        for v in sorted(au):
-            if v <= u:
-                continue
-            for w in sorted(au & g._adj[v]):
-                if w > v:
-                    yield (u, v, w)
-
-
-def find_triangle_single_neighbor(g: Graph):
-    """Triangle whose outside neighborhood is a single vertex x; returns (u, v, w, x)."""
-    for u, v, w in _triangles(g):
-        outside = (g._adj[u] | g._adj[v] | g._adj[w]) - {u, v, w}
-        if len(outside) == 1:
-            return (u, v, w, outside.pop())
-    return None
+def find_triangle_single_neighbor(g: Graph, scan=None):
+    """(u, v, w, x): the least triangle u < v < w whose outside neighborhood
+    is the single vertex x, through a vertex of scan. Each of u, v and w
+    then has degree 2 or 3."""
+    adj = g._adj
+    best = None
+    for c in adj if scan is None else scan:
+        nc = adj.get(c)
+        if nc is None or not 2 <= len(nc) <= 3:
+            continue
+        for a, b in combinations(nc, 2):
+            if b in adj[a]:
+                tri = tuple(sorted((c, a, b)))
+                if best is None or tri < best[:3]:
+                    outside = (nc | adj[a] | adj[b]) - {c, a, b}
+                    if len(outside) == 1:
+                        best = tri + (outside.pop(),)
+    return best
 
 
 def find_deg4_heavy_triangle(g: Graph):
@@ -284,51 +300,84 @@ def find_deg4_adjacent_deg3(g: Graph):
     return None
 
 
-def low_degree_edges(g: Graph):
-    """Every edge whose endpoints both have degree <= 2, in id order, or None
-    if there is none."""
-    found = [
-        (u, v) for u in g.vertices() if len(g._adj[u]) <= 2
-        for v in sorted(g._adj[u]) if u < v and len(g._adj[v]) <= 2
-    ]
-    return found or None
+def low_degree_edges(g: Graph, scan=None):
+    """Every edge whose endpoints both have degree <= 2 and one is in scan,
+    in id order, or None if there is none."""
+    adj = g._adj
+    found = set()
+    for u in adj if scan is None else scan:
+        nu = adj.get(u)
+        if nu is not None and len(nu) <= 2:
+            for v in nu:
+                if len(adj[v]) <= 2:
+                    found.add((u, v) if u < v else (v, u))
+    return sorted(found) or None
 
 
-def find_degree_two_path(g: Graph):
+def _run(adj, start, cur) -> list[int]:
+    """The walk start, cur, ... on through degree-2 vertices, up to the first
+    vertex of degree != 2 or back at start."""
+    seq = [start, cur]
+    while len(adj[cur]) == 2 and cur != start:
+        a, b = adj[cur]
+        cur = b if a == seq[-2] else a
+        seq.append(cur)
+    return seq
+
+
+def find_degree_two_path(g: Graph, scan=None):
     """Path v0..vh whose endpoints have degree != 2 and whose h-1 internal
-    vertices all have degree 2, with h >= DEGREE_TWO_PATH_MIN_EDGES. The endpoints may
-    coincide (a cycle hanging off one vertex)."""
-    for v0 in g.vertices():
-        if len(g._adj[v0]) == 2 or not g._adj[v0]:
+    vertices all have degree 2, with h >= DEGREE_TWO_PATH_MIN_EDGES, through
+    a vertex of scan; the least by (v0, v1). The endpoints may coincide (a
+    cycle hanging off one vertex)."""
+    adj = g._adj
+    best = None
+    walked = set()  # internal vertices of the paths seen
+    for c in adj if scan is None else scan:
+        nc = adj.get(c)
+        if nc is None or c in walked:
             continue
-        for v1 in sorted(g._adj[v0]):
-            if len(g._adj[v1]) != 2:
+        if len(nc) == 2:
+            a, b = nc
+            ahead = _run(adj, c, a)
+            if ahead[-1] == c:  # a cycle component
+                walked.update(ahead)
                 continue
-            seq = [v0, v1]
-            prev, cur = v0, v1
-            while len(g._adj[cur]) == 2:
-                nxt = next(x for x in g._adj[cur] if x != prev)
-                seq.append(nxt)
-                prev, cur = cur, nxt
-            if len(seq) - 1 >= DEGREE_TWO_PATH_MIN_EDGES:
-                return tuple(seq)
-    return None
+            paths = [_run(adj, c, b)[:0:-1] + ahead]
+        else:
+            paths = [_run(adj, c, a) for a in nc if len(adj[a]) == 2 and a not in walked]
+        for path in paths:
+            walked.update(path[1:-1])
+            if len(path) - 1 >= DEGREE_TWO_PATH_MIN_EDGES:
+                path = min(tuple(path), tuple(reversed(path)))
+                if best is None or path < best:
+                    best = path
+    return best
 
 
-def find_pendant_chain(g: Graph):
-    """(x, c1, c2): degree-1 x whose neighbor c1 and next vertex c2 both have
-    degree 2. Too short for the general degree-two-path rule, but its middle
-    vertex still sees no degree->=3 neighbor."""
-    for x in g.vertices():
-        if len(g._adj[x]) != 1:
+def find_pendant_chain(g: Graph, scan=None):
+    """(x, c1, c2): the least degree-1 x whose neighbor c1 and next vertex c2
+    both have degree 2, with one of the three in scan. Too short for the
+    general degree-two-path rule, but its middle vertex still sees no
+    degree->=3 neighbor."""
+    adj = g._adj
+    best = None
+    for c in adj if scan is None else scan:
+        nc = adj.get(c)
+        if nc is None or len(nc) > 2:
             continue
-        c1 = next(iter(g._adj[x]))
-        if len(g._adj[c1]) != 2:
-            continue
-        c2 = next(y for y in g._adj[c1] if y != x)
-        if len(g._adj[c2]) == 2:
-            return (x, c1, c2)
-    return None
+        # c as x, as c1 (x a neighbor) or as c2 (x two steps away)
+        ends = [c] if len(nc) == 1 else [y for a in nc for y in (a, *adj[a]) if len(adj[y]) == 1]
+        for x in ends:
+            if best is not None and x >= best[0]:
+                continue
+            (c1,) = adj[x]
+            if len(adj[c1]) == 2:
+                a, b = adj[c1]
+                c2 = b if a == x else a
+                if len(adj[c2]) == 2:
+                    best = (x, c1, c2)
+    return best
 
 
 def is_trivial(g: Graph, comp) -> bool:
@@ -337,9 +386,31 @@ def is_trivial(g: Graph, comp) -> bool:
     return len(comp) <= TRIVIAL_COMPONENT_SIZE or all(len(g._adj[v]) == 2 for v in comp)
 
 
-def find_trivial_components(g: Graph):
-    """Every trivial component (see is_trivial), or None if there is none."""
-    found = [tuple(comp) for comp in g.components() if is_trivial(g, comp)]
+def find_trivial_components(g: Graph, scan=None):
+    """Every trivial component (see is_trivial) through a vertex of scan,
+    ordered by minimum, or None if there is none. The walk from a vertex
+    stops once its piece has more than TRIVIAL_COMPONENT_SIZE vertices, one
+    of degree != 2, or meets a stopped walk's piece."""
+    adj = g._adj
+    seen = set()
+    found = []
+    for root in adj if scan is None else scan:
+        if root in seen or root not in adj:
+            continue
+        piece, stack, cycle = {root}, [root], True
+        while stack:
+            nb = adj[stack.pop()]
+            cycle = cycle and len(nb) == 2
+            if not cycle and len(piece) > TRIVIAL_COMPONENT_SIZE or not seen.isdisjoint(nb):
+                break
+            for y in nb:
+                if y not in piece:
+                    piece.add(y)
+                    stack.append(y)
+        else:
+            found.append(tuple(sorted(piece)))
+        seen |= piece
+    found.sort()
     return found or None
 
 

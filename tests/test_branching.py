@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from copack import cutcount, graph as graphlib
+from copack import branching, cutcount, graph as graphlib
 from copack.branching import (
     _REDUCTIONS,
     Instance,
     SolveStats,
     _branch,
+    _delete,
+    _trivial_cut,
     branch_b1,
     branch_b2,
     reduce_cpcp,
@@ -19,8 +21,8 @@ from copack.branching import (
 from copack.errors import InternalSolverError
 from copack.generators import complete_graph, cycle_graph, gnm_graph, path_graph, planted_graph
 from copack.graph import Graph, find_pendant_chain, find_degree_two_path, find_triangle_single_neighbor, low_degree_edges
-from copack.oracles import oracle_min, verify
-from conftest import random_graph
+from copack.oracles import min_deletion_set, oracle_min, verify
+from conftest import all_graphs, random_graph
 
 
 def inst_of(g, k):
@@ -100,8 +102,8 @@ def test_low_degree_edges_in_one_pass_match_one_at_a_time(monkeypatch):
     # the cpcp fixpoint removing every low-degree edge per firing reaches the
     # same instance, with the same reduction count, as removing the first one
     # and rescanning
-    def first_only(g):
-        edges = low_degree_edges(g)
+    def first_only(g, scan=None):
+        edges = low_degree_edges(g, scan)
         return edges and edges[:1]
 
     (_, remove), *rest = _REDUCTIONS["cpcp"]
@@ -242,6 +244,183 @@ def test_reduce_scans_components_at_most_twice(monkeypatch):
         reduce(inst)
         assert inst.graph.alive_count == 0 and inst.k == 0
         assert len(calls) <= 2, (reduce.__name__, len(calls))
+
+
+def test_trivial_cut_skips_enumeration_inside_the_bound(monkeypatch):
+    """On every component of every graph of at most 5 vertices, and of
+    seeded 6-vertex graphs, _trivial_cut equals min_deletion_set for both
+    problems, and enumerates exactly when the component needs a deletion."""
+    rng = random.Random(1919)
+    graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+    graphs += [gnm_graph(6, rng.randint(0, 15), rng.randrange(1 << 30)) for _ in range(400)]
+    enumerated = []
+    monkeypatch.setattr(branching, "min_deletion_set", lambda *a: enumerated.append(a) or min_deletion_set(*a))
+    free = 0
+    for g in graphs:
+        for comp in g.components():
+            for acyclic in (False, True):
+                want = min_deletion_set(g, comp, 2, acyclic)
+                enumerated.clear()
+                assert _trivial_cut(g, comp, acyclic) == want, (comp, acyclic, g.edges())
+                assert bool(enumerated) == bool(want), (comp, acyclic, g.edges())
+                free += not want
+    assert free >= 1000, free
+
+
+def _full_scan_reduce(inst, problem, settle):
+    """The reduction loop with every finder scanning the whole graph: the
+    trivial components, the first local rule that applies until none does or
+    the budget runs out, then, if settle, the components left trivial.
+    Returns the reductions counted."""
+    acyclic = problem == "cpp"
+    count = 0
+
+    def trivial():
+        nonlocal count
+        for comp in graphlib.find_trivial_components(inst.graph) or ():
+            count += 1
+            _delete(inst, comp, _trivial_cut(inst.graph, comp, acyclic))
+
+    trivial()
+    fired = False
+    while inst.k >= 0:
+        for find, act in _REDUCTIONS[problem]:
+            found = find(inst.graph)
+            if found is not None:
+                count += act(inst, found)[0]
+                fired = True
+                break
+        else:
+            break
+    if fired and settle:
+        trivial()
+    return count
+
+
+def _reduced(inst, count):
+    return inst.graph.vertices(), inst.graph.edges(), inst.k, inst.deleted, count
+
+
+def test_child_reductions_match_full_scans(monkeypatch):
+    """At every branch child of seeded solves, the reduction that rescans
+    only the vertices the branch changed reaches the graph, budget, deleted
+    set and reduction count of the full-scan loop run on a copy. cpcp and
+    cpp, decisions at the minimum and one below, and exact mode, on
+    planted(n, k, s) at n = 20-200, gnm graphs and proper graphs of 20-32
+    vertices with two random chords."""
+    from copack.generators import proper_graph
+
+    checked = dict.fromkeys(("cpcp", "cpp"), 0)
+    for problem in checked:
+        name = "reduce_" + problem
+
+        def reduce(inst, stats, *, settle=True, problem=problem, shipped=getattr(branching, name)):
+            if inst.changed is None:
+                return shipped(inst, stats, settle=settle)
+            want = Instance(inst.graph.copy(), inst.k, set(inst.deleted))
+            count = _full_scan_reduce(want, problem, settle)
+            before = stats.reductions
+            shipped(inst, stats, settle=settle)
+            assert _reduced(inst, stats.reductions - before) == _reduced(want, count), problem
+            checked[problem] += 1
+            return inst
+
+        monkeypatch.setattr(branching, name, reduce)
+    rng = random.Random(1920)
+    graphs = [planted_graph(n, n // rng.choice((8, 10, 12)), s) for s, n in enumerate(range(20, 201, 15))]
+    graphs += [gnm_graph(n, rng.randint(n, 2 * n), s) for s, n in enumerate(range(14, 30, 2))]
+    for s, n in enumerate(range(20, 33, 4)):
+        edges = set(proper_graph(n, s).edges())
+        chords = len(edges) + 2
+        while len(edges) < chords:
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        graphs.append(Graph.from_edges(n, sorted(edges)))
+    solvers = (lambda g, k, exact=False: solve_cpcp(g, k, exact),
+               lambda g, k, exact=False: solve_cpp(g, k, seed=7, exact=exact))
+    for g in graphs:
+        for solve in solvers:
+            mn = solve(g, g.alive_count, exact=True).size
+            solve(g, mn)
+            solve(g, mn - 1)
+    assert min(checked.values()) >= 500, checked
+
+
+def test_reductions_after_any_deletion_match_full_scans():
+    """A graph at the reduction fixpoint loses a vertex set ch; the
+    reduction that rescans only N(ch) reaches what the full-scan loop does.
+    First a graph where deleting 8 leaves the triangle {0, 1, 2} with the
+    single outside neighbor 3, whose deletion frees the edge (4, 5); then
+    seeded gnm and planted graphs, both problems, with and without settle."""
+    rng = random.Random(1921)
+    fixed = Graph.from_edges(10, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 8), (3, 4), (4, 5), (4, 6),
+                                  (5, 6), (6, 7), (7, 8), (7, 9), (8, 9)])
+    cases = [(fixed, "cpcp", [8], True)]
+    for t in range(400):
+        n = rng.randint(10, 40)
+        g = gnm_graph(n, rng.randint(n, 3 * n), t) if t % 2 else planted_graph(n, rng.randint(1, n // 4), t)
+        for problem in ("cpcp", "cpp"):
+            inst = inst_of(g, g.alive_count)
+            (reduce_cpcp if problem == "cpcp" else reduce_cpp)(inst)
+            if inst.graph.alive_count >= 2:
+                cases.append((inst.graph, problem, rng.sample(inst.graph.vertices(), rng.randint(1, 3)), bool(t % 3)))
+    for t, (g, problem, ch, settle) in enumerate(cases):
+        got, want = inst_of(g, g.alive_count), inst_of(g, g.alive_count)
+        got.changed = got.graph.remove_vertices(ch)
+        want.graph.remove_vertices(ch)
+        stats = SolveStats()
+        (reduce_cpcp if problem == "cpcp" else reduce_cpp)(got, stats, settle=settle)
+        assert _reduced(got, stats.reductions) == _reduced(want, _full_scan_reduce(want, problem, settle)), t
+    assert len(cases) >= 600, len(cases)
+
+
+def test_p200_cpp_matches_a_full_scan_run(monkeypatch):
+    """p200 cpp at -k 14, -k 15 and exact: the same answer, witness and
+    counters as a search whose every node runs the full-scan loop."""
+    g = planted_graph(200, 20, 3)
+    runs = (lambda: solve_cpp(g, 14), lambda: solve_cpp(g, 15), lambda: solve_cpp(g, g.alive_count, exact=True))
+    shipped = [run() for run in runs]
+
+    def full_scan(inst, stats, *, settle=True):
+        stats.reductions += _full_scan_reduce(inst, "cpp", settle)
+        return inst
+
+    monkeypatch.setattr(branching, "reduce_cpp", full_scan)
+    for out, run in zip(shipped, runs):
+        ref = run()
+        assert (out.answer, out.size, out.witness, out.stats) == (ref.answer, ref.size, ref.witness, ref.stats)
+    assert [out.size for out in shipped] == [None, 15, 15]
+
+
+def test_child_reductions_walk_no_components(monkeypatch):
+    """cpcp decisions on a planted graph of 800 forest vertices and 40
+    extras: no reduction calls Graph.components, and only the root's
+    trivial pass walks the whole graph; a branch child's walks out from the
+    vertices the branch changed."""
+    components, find_trivial, shipped = Graph.components, graphlib.find_trivial_components, branching.reduce_cpcp
+    log = []  # per reduction: [a branch child?, Graph.components calls, whole-graph trivial passes]
+
+    def counted(g):
+        log[-1][1] += 1
+        return components(g)
+
+    def trivial(g, scan=None):
+        log[-1][2] += scan is None
+        return find_trivial(g, scan)
+
+    def reduce(inst, stats, *, settle=True):
+        log.append([inst.changed is not None, 0, 0])
+        with monkeypatch.context() as m:
+            m.setattr(Graph, "components", counted)
+            m.setattr(graphlib, "find_trivial_components", trivial)
+            return shipped(inst, stats, settle=settle)
+
+    monkeypatch.setattr(branching, "reduce_cpcp", reduce)
+    g = planted_graph(800, 40, 1)
+    for k in (40, 36):
+        log.clear()
+        out = solve_cpcp(g, k)
+        assert out.answer == (k == 40) and out.stats.nodes > 10 and len(log) > 20, k
+        assert log[0] == [False, 0, 1] and all(entry == [True, 0, 0] for entry in log[1:]), (k, log)
 
 
 # ------------------------------------------------------------------ solving

@@ -255,6 +255,87 @@ def test_find_structure_matches_bruteforce(rng):
         assert FINDERS["trivial_components"](g) == (_brute_trivial_components(g) or None), t
 
 
+def test_remove_vertices_returns_what_lost_a_neighbor(rng):
+    for t in range(60):
+        g = random_graph(t + 1900)
+        victims = rng.sample(g.vertices(), rng.randint(0, g.alive_count))
+        h = g.copy()
+        assert h.remove_vertices(victims) == g.neighborhood_of(victims), t
+        assert h.edges() == g.without_vertices(victims).edges(), t
+
+
+def _reduction_witnesses(g):
+    """kind -> [(witness, the vertices whose neighbor sets decide it)] for
+    each reduction finder, by plain enumeration of its definition."""
+    from itertools import combinations
+
+    deg = {v: g.degree(v) for v in g.vertices()}
+    tris = [t for t in combinations(g.vertices(), 3) if all(g.has_edge(a, b) for a, b in combinations(t, 2))]
+    paths = []
+    for v0 in g.vertices():
+        for v1 in g.neighbors(v0) if deg[v0] != 2 else ():
+            seq = [v0, v1]
+            while deg[seq[-1]] == 2:
+                seq += [x for x in g.neighbors(seq[-1]) if x != seq[-2]]
+            if len(seq) - 1 >= graphlib.DEGREE_TWO_PATH_MIN_EDGES:
+                paths.append(tuple(seq))
+    chains = []
+    for x in g.vertices():
+        if deg[x] == 1:
+            (c1,) = g.neighbors(x)
+            if deg[c1] == 2:
+                (c2,) = g.neighbors(c1) - {x}
+                chains += [(x, c1, c2)] if deg[c2] == 2 else []
+    return {
+        "low_degree_edge": [(e, e) for e in g.edges() if deg[e[0]] <= 2 and deg[e[1]] <= 2],
+        "triangle_single_neighbor": [(t + tuple(g.neighborhood_of(t)), t) for t in tris
+                                     if len(g.neighborhood_of(t)) == 1],
+        "degree_two_path": [(p, p) for p in paths],
+        "pendant_chain": [(c, c) for c in chains],
+        "trivial_components": [(c, c) for c in _brute_trivial_components(g)],
+    }
+
+
+def test_reduction_finders_return_the_least_witness_through_scan(rng):
+    """Over all vertices or over a scan set, each reduction finder returns
+    its least witness (low_degree_edges and find_trivial_components: all of
+    them, in order) among those with a scan vertex in the set of vertices
+    whose neighbor sets decide it. Scans hold deleted vertices too."""
+    from copack.generators import planted_graph
+
+    graphs = [random_graph(t + 2600, n_lo=5, n_hi=10) for t in range(100)]
+    for t in range(100):
+        n = rng.randint(8, 40)
+        g = planted_graph(n, rng.randint(0, 4), t) if t % 2 else gnm_graph(n, rng.randint(4, n + 4), t + 2700)
+        # a ring beside it, or a triangle hanging off one of its vertices
+        ring = rng.randint(3, 9) if t % 3 == 0 else 0
+        edges = g.edges() + [(g.size + i, g.size + (i + 1) % ring) for i in range(ring)]
+        if t % 3 == 1:
+            a, ring = g.size, 3
+            x = rng.randrange(n)
+            edges += [(a, a + 1), (a + 1, a + 2), (a, a + 2), (x, a)] + [(x, a + 1)] * (t % 2)
+        g = Graph.from_edges(g.size + ring, edges)
+        g.remove_vertices(rng.sample(range(n), rng.randint(0, 3)))
+        graphs.append(g)
+    kinds = ("low_degree_edge", "triangle_single_neighbor", "degree_two_path", "pendant_chain",
+             "trivial_components")
+    found = dict.fromkeys(kinds, 0)
+    for t, g in enumerate(graphs):
+        witnesses = _reduction_witnesses(g)
+        scans = [None, set(g.vertices())] + [set(rng.sample(range(g.size), rng.randint(0, g.size)))
+                                             for _ in range(4)]
+        for scan in scans:
+            for kind in kinds:
+                want = sorted(w for w, decided in witnesses[kind] if scan is None or scan.intersection(decided))
+                got = FINDERS[kind](g, scan)
+                if kind in ("low_degree_edge", "trivial_components"):
+                    assert got == (want or None), (t, kind, scan, g.edges())
+                else:
+                    assert got == (want[0] if want else None), (t, kind, scan, g.edges())
+                found[kind] += bool(want)
+    assert min(found.values()) >= 50, found
+
+
 def test_edge_mutation():
     g = Graph.from_edges(3, [(0, 1)])
     g.add_edge(1, 2)
