@@ -206,52 +206,52 @@ def _delete_trivial_components(inst: Instance, acyclic: bool, stats: SolveStats,
         inst.graph.remove_vertices([v for comp in comps for v in comp])
 
 
-def _reduce(inst: Instance, problem: str, stats: SolveStats, settle: bool) -> Instance:
+def _reduce(inst: Instance, problem: str, stats: SolveStats) -> Instance:
     """Delete the trivial components, fire the first applicable local rule
-    until none applies or the budget runs out, then, if settle, delete the
-    components it left trivial. A local rule acts inside one component and
-    only shrinks it, so this is the fixpoint that deletes trivial components
-    as they appear.
+    until none applies or the budget runs out, then delete the components
+    the rules left trivial. A local rule acts inside one component and only
+    shrinks it, so this is the fixpoint that deletes trivial components as
+    they appear.
 
     Every trivial component and every new witness of a local rule holds a
-    vertex whose neighbor set changed, so the trivial pass walks out from
-    inst.changed, and each rule scans only the vertices changed since it
-    last came up empty (inst.changed at first; None scans all)."""
+    vertex whose neighbor set changed, so the first trivial pass walks out
+    from inst.changed, the last from the vertices the rules changed, and
+    each rule scans only the vertices changed since it last came up empty
+    (inst.changed at first; None scans all)."""
     acyclic = problem == "cpp"
     _delete_trivial_components(inst, acyclic, stats, inst.changed)
     rules = _REDUCTIONS[problem]
     scans = [None if inst.changed is None else set(inst.changed) for _ in rules]
-    fired = False
+    touched = set()
     while inst.k >= 0:
         for i, (find, act) in enumerate(rules):
             found = find(inst.graph, scans[i])
             if found is not None:
                 count, changed = act(inst, found)
                 stats.reductions += count
+                touched.update(changed)
                 for scan in scans:
                     if scan is not None:
                         scan.update(changed)
-                fired = True
                 break
             scans[i] = set()
         else:
             break
-    if fired and settle:
-        _delete_trivial_components(inst, acyclic, stats)
+    if touched and inst.k >= 0:
+        _delete_trivial_components(inst, acyclic, stats, touched)
     return inst
 
 
-def reduce_cpcp(inst: Instance, stats: SolveStats | None = None, *, settle: bool = True) -> Instance:
-    """Fixpoint of the co-path/cycle packing reductions, in place. With
-    settle=False the components the local rules left trivial stay, for a
-    caller that walks the components next anyway."""
-    return _reduce(inst, "cpcp", stats or SolveStats(), settle)
+def reduce_cpcp(inst: Instance, stats: SolveStats | None = None) -> Instance:
+    """Fixpoint of the co-path/cycle packing reductions, in place: no
+    trivial component is left unless the budget ran out."""
+    return _reduce(inst, "cpcp", stats or SolveStats())
 
 
-def reduce_cpp(inst: Instance, stats: SolveStats | None = None, *, settle: bool = True) -> Instance:
-    """Fixpoint of the co-path packing reductions, in place; settle as in
+def reduce_cpp(inst: Instance, stats: SolveStats | None = None) -> Instance:
+    """Fixpoint of the co-path packing reductions, in place, as in
     reduce_cpcp."""
-    return _reduce(inst, "cpp", stats or SolveStats(), settle)
+    return _reduce(inst, "cpp", stats or SolveStats())
 
 
 # ------------------------------------------------------------------- steps
@@ -480,25 +480,14 @@ class _Search:
         return _drive(self.node(Instance(g.copy(), k, set()), exact))
 
     def node(self, inst: Instance, exact: bool):
-        """Reduce inst in place and settle each trivial component it leaves,
-        then solve the others smallest first, each capped by the budget the
-        others leave. Every component but the last gets its minimum; the
+        """Reduce inst in place, which deletes every trivial component, then
+        solve the components left smallest first, each capped by the budget
+        the others leave. Every component but the last gets its minimum; the
         last, in a decision, only a first yes."""
-        self.reduce(inst, self.stats, settle=False)
+        self.reduce(inst, self.stats)
         if inst.k < 0:
             return None
-        parts = []
-        for part in inst.graph.split():
-            comp = part.vertices()
-            if graphlib.is_trivial(part, comp):
-                cut = _trivial_cut(part, comp, self.problem == "cpp")
-                inst.deleted.update(cut)
-                inst.k -= len(cut)
-                self.stats.reductions += 1
-            else:
-                parts.append(part)
-        if inst.k < 0:
-            return None
+        parts = inst.graph.split()
         size, wit = len(inst.deleted), inst.deleted
         left = inst.k
         parts.sort(key=lambda h: h.alive_count)

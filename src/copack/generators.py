@@ -26,6 +26,9 @@ def complete_graph(n: int) -> Graph:
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
+    if rows < 0 or cols < 0:
+        raise ValueError("grid sizes must be >= 0")
+
     def vid(r, c):
         return r * cols + c
 

@@ -380,17 +380,13 @@ def find_pendant_chain(g: Graph, scan=None):
     return best
 
 
-def is_trivial(g: Graph, comp) -> bool:
-    """Whether the component comp of g has at most TRIVIAL_COMPONENT_SIZE
-    vertices or is a cycle: every vertex has degree 2."""
-    return len(comp) <= TRIVIAL_COMPONENT_SIZE or all(len(g._adj[v]) == 2 for v in comp)
-
-
 def find_trivial_components(g: Graph, scan=None):
-    """Every trivial component (see is_trivial) through a vertex of scan,
-    ordered by minimum, or None if there is none. The walk from a vertex
-    stops once its piece has more than TRIVIAL_COMPONENT_SIZE vertices, one
-    of degree != 2, or meets a stopped walk's piece."""
+    """Every trivial component through a vertex of scan, ordered by
+    minimum, or None if there is none. A component is trivial if it has at
+    most TRIVIAL_COMPONENT_SIZE vertices or is a cycle: every vertex has
+    degree 2. The walk from a vertex stops once its piece has more than
+    TRIVIAL_COMPONENT_SIZE vertices, one of degree != 2, or meets a stopped
+    walk's piece."""
     adj = g._adj
     seen = set()
     found = []

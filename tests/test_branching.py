@@ -233,7 +233,9 @@ def test_reduce_matches_component_first_reference():
     assert checked >= 600, checked
 
 
-def test_reduce_scans_components_at_most_twice(monkeypatch):
+def test_reduce_scans_no_components(monkeypatch):
+    """No reduction calls Graph.components: the trivial passes walk out
+    from the vertices that changed."""
     calls = []
     components = Graph.components
     monkeypatch.setattr(Graph, "components", lambda g: calls.append(1) or components(g))
@@ -243,7 +245,11 @@ def test_reduce_scans_components_at_most_twice(monkeypatch):
         inst = inst_of(g, k)
         reduce(inst)
         assert inst.graph.alive_count == 0 and inst.k == 0
-        assert len(calls) <= 2, (reduce.__name__, len(calls))
+        assert not calls, (reduce.__name__, len(calls))
+    for reduce in (reduce_cpcp, reduce_cpp):
+        for g in (planted_graph(200, 20, 3), gnm_graph(40, 60, 1)):
+            reduce(inst_of(g, g.alive_count))
+            assert not calls, reduce.__name__
 
 
 def test_trivial_cut_skips_enumeration_inside_the_bound(monkeypatch):
@@ -267,11 +273,11 @@ def test_trivial_cut_skips_enumeration_inside_the_bound(monkeypatch):
     assert free >= 1000, free
 
 
-def _full_scan_reduce(inst, problem, settle):
+def _full_scan_reduce(inst, problem):
     """The reduction loop with every finder scanning the whole graph: the
     trivial components, the first local rule that applies until none does or
-    the budget runs out, then, if settle, the components left trivial.
-    Returns the reductions counted."""
+    the budget runs out, then, if a rule fired and the budget has not run
+    out, the components left trivial. Returns the reductions counted."""
     acyclic = problem == "cpp"
     count = 0
 
@@ -292,7 +298,7 @@ def _full_scan_reduce(inst, problem, settle):
                 break
         else:
             break
-    if fired and settle:
+    if fired and inst.k >= 0:
         trivial()
     return count
 
@@ -314,13 +320,13 @@ def test_child_reductions_match_full_scans(monkeypatch):
     for problem in checked:
         name = "reduce_" + problem
 
-        def reduce(inst, stats, *, settle=True, problem=problem, shipped=getattr(branching, name)):
+        def reduce(inst, stats, problem=problem, shipped=getattr(branching, name)):
             if inst.changed is None:
-                return shipped(inst, stats, settle=settle)
+                return shipped(inst, stats)
             want = Instance(inst.graph.copy(), inst.k, set(inst.deleted))
-            count = _full_scan_reduce(want, problem, settle)
+            count = _full_scan_reduce(want, problem)
             before = stats.reductions
-            shipped(inst, stats, settle=settle)
+            shipped(inst, stats)
             assert _reduced(inst, stats.reductions - before) == _reduced(want, count), problem
             checked[problem] += 1
             return inst
@@ -350,11 +356,11 @@ def test_reductions_after_any_deletion_match_full_scans():
     reduction that rescans only N(ch) reaches what the full-scan loop does.
     First a graph where deleting 8 leaves the triangle {0, 1, 2} with the
     single outside neighbor 3, whose deletion frees the edge (4, 5); then
-    seeded gnm and planted graphs, both problems, with and without settle."""
+    seeded gnm and planted graphs, both problems."""
     rng = random.Random(1921)
     fixed = Graph.from_edges(10, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 8), (3, 4), (4, 5), (4, 6),
                                   (5, 6), (6, 7), (7, 8), (7, 9), (8, 9)])
-    cases = [(fixed, "cpcp", [8], True)]
+    cases = [(fixed, "cpcp", [8])]
     for t in range(400):
         n = rng.randint(10, 40)
         g = gnm_graph(n, rng.randint(n, 3 * n), t) if t % 2 else planted_graph(n, rng.randint(1, n // 4), t)
@@ -362,14 +368,14 @@ def test_reductions_after_any_deletion_match_full_scans():
             inst = inst_of(g, g.alive_count)
             (reduce_cpcp if problem == "cpcp" else reduce_cpp)(inst)
             if inst.graph.alive_count >= 2:
-                cases.append((inst.graph, problem, rng.sample(inst.graph.vertices(), rng.randint(1, 3)), bool(t % 3)))
-    for t, (g, problem, ch, settle) in enumerate(cases):
+                cases.append((inst.graph, problem, rng.sample(inst.graph.vertices(), rng.randint(1, 3))))
+    for t, (g, problem, ch) in enumerate(cases):
         got, want = inst_of(g, g.alive_count), inst_of(g, g.alive_count)
         got.changed = got.graph.remove_vertices(ch)
         want.graph.remove_vertices(ch)
         stats = SolveStats()
-        (reduce_cpcp if problem == "cpcp" else reduce_cpp)(got, stats, settle=settle)
-        assert _reduced(got, stats.reductions) == _reduced(want, _full_scan_reduce(want, problem, settle)), t
+        (reduce_cpcp if problem == "cpcp" else reduce_cpp)(got, stats)
+        assert _reduced(got, stats.reductions) == _reduced(want, _full_scan_reduce(want, problem)), t
     assert len(cases) >= 600, len(cases)
 
 
@@ -380,8 +386,8 @@ def test_p200_cpp_matches_a_full_scan_run(monkeypatch):
     runs = (lambda: solve_cpp(g, 14), lambda: solve_cpp(g, 15), lambda: solve_cpp(g, g.alive_count, exact=True))
     shipped = [run() for run in runs]
 
-    def full_scan(inst, stats, *, settle=True):
-        stats.reductions += _full_scan_reduce(inst, "cpp", settle)
+    def full_scan(inst, stats):
+        stats.reductions += _full_scan_reduce(inst, "cpp")
         return inst
 
     monkeypatch.setattr(branching, "reduce_cpp", full_scan)
@@ -407,12 +413,12 @@ def test_child_reductions_walk_no_components(monkeypatch):
         log[-1][2] += scan is None
         return find_trivial(g, scan)
 
-    def reduce(inst, stats, *, settle=True):
+    def reduce(inst, stats):
         log.append([inst.changed is not None, 0, 0])
         with monkeypatch.context() as m:
             m.setattr(Graph, "components", counted)
             m.setattr(graphlib, "find_trivial_components", trivial)
-            return shipped(inst, stats, settle=settle)
+            return shipped(inst, stats)
 
     monkeypatch.setattr(branching, "reduce_cpcp", reduce)
     g = planted_graph(800, 40, 1)
@@ -421,6 +427,30 @@ def test_child_reductions_walk_no_components(monkeypatch):
         out = solve_cpcp(g, k)
         assert out.answer == (k == 40) and out.stats.nodes > 10 and len(log) > 20, k
         assert log[0] == [False, 0, 1] and all(entry == [True, 0, 0] for entry in log[1:]), (k, log)
+
+
+def test_search_splits_into_nontrivial_components_only(monkeypatch):
+    """The reductions leave no trivial component, so every component a
+    search node splits off has more than TRIVIAL_COMPONENT_SIZE vertices and
+    a vertex of degree other than 2: p200 cpp at -k 15 and exact, and cpcp
+    exact on planted(n, k, s) for n = 40-150."""
+    split, checked = Graph.split, []
+
+    def checked_split(g):
+        parts = split(g)
+        for h in parts:
+            degrees = {len(nb) for nb in h._adj.values()}
+            assert h.alive_count > graphlib.TRIVIAL_COMPONENT_SIZE and degrees != {2}, (h.alive_count, degrees)
+        checked.extend(parts)
+        return parts
+
+    monkeypatch.setattr(Graph, "split", checked_split)
+    g = planted_graph(200, 20, 3)
+    assert solve_cpp(g, 15).size == 15 and solve_cpp(g, g.alive_count, exact=True).size == 15
+    for s, n in enumerate(range(40, 151, 10)):
+        g = planted_graph(n, n // 10, s)
+        solve_cpcp(g, g.alive_count, exact=True)
+    assert len(checked) >= 1000, len(checked)
 
 
 # ------------------------------------------------------------------ solving

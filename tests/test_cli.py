@@ -94,6 +94,14 @@ def test_gen_checks_its_parameter_count(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+def test_gen_grid_refuses_negative_sizes(capsys):
+    assert main(["gen", "grid", "-2", "-3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: grid sizes must be >= 0\n"
+    assert main(["gen", "grid", "0", "3"]) == 0
+    assert capsys.readouterr().out.startswith("p edge 0 0")
+
+
 def test_command_solve_records(tmp_path):
     k5 = tmp_path / "k5.gr"
     k5.write_text(command_gen("clique", [5]))

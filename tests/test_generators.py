@@ -21,6 +21,15 @@ def test_families():
     assert g.alive_count == 9 and g.edge_count == 12
 
 
+def test_grid_refuses_negative_sizes():
+    for rows, cols in ((-2, -3), (-1, 4), (4, -1)):
+        with pytest.raises(ValueError):
+            grid_graph(rows, cols)
+    for rows, cols in ((0, 5), (5, 0)):
+        g = grid_graph(rows, cols)
+        assert g.alive_count == 0 and g.edge_count == 0
+
+
 def test_gnm():
     g = gnm_graph(8, 12, seed=1)
     assert g.alive_count == 8 and g.edge_count == 12
