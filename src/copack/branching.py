@@ -12,7 +12,7 @@ silent fallback there would mask a broken reduction, not recover from one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 from . import cutcount, decomp, graph as graphlib
@@ -54,16 +54,10 @@ class SolveStats:
     memo_hits: int = 0
 
     def add(self, other: SolveStats):
-        """Fold in another solve's counters: sums, and the widest leaf."""
-        self.nodes += other.nodes
-        self.reductions += other.reductions
-        self.dp_calls += other.dp_calls
-        self.cc_calls += other.cc_calls
-        self.width = max(self.width, other.width)
-        self.repeats += other.repeats
-        self.guard_rejects += other.guard_rejects
-        self.bound_prunes += other.bound_prunes
-        self.memo_hits += other.memo_hits
+        """Fold in another solve's counters: the widest leaf, and sums of the rest."""
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            setattr(self, f.name, max(a, b) if f.name == "width" else a + b)
 
 
 @dataclass
@@ -74,18 +68,14 @@ class SolveOutcome:
     stats: SolveStats
 
 
-def _assert_decrements(children, expected):
-    got = sorted(map(len, children))
-    if got != sorted(expected):
-        raise InternalSolverError("branch decrements %s, expected %s" % (got, expected))
-
-
 def _branch(rule: str, sets, expected) -> BranchSet:
     """The branch set deleting each of `sets`, whose sizes must be the
     decrements `expected` (as a multiset)."""
     children = [frozenset(s) for s in sets]
     assert all(children)
-    _assert_decrements(children, expected)
+    got = sorted(map(len, children))
+    if got != sorted(expected):
+        raise InternalSolverError("branch decrements %s, expected %s" % (got, expected))
     return BranchSet(rule, children)
 
 
@@ -381,34 +371,32 @@ def step_star3_children(g: Graph, v: int, u1: int, u2: int) -> BranchSet:
 
 # Branching steps per problem, in priority order: (finder, function making
 # the branch set from the finder's witness, rule name to report or None to
-# keep the one it sets, expected decrements or None).
+# keep the one it sets).
 _STEPS = {
     "cpcp": (
-        (graphlib.find_degree_ge5, branch_b1, "step1", None),
-        (graphlib.find_dominating_deg4, branch_b2, "step2", [1, 2, 2, 2]),
-        (graphlib.find_deg4_heavy_triangle, step3_children, None, None),
-        (graphlib.find_deg4_in_triangle, step4_children, None, None),
-        (graphlib.find_deg4_adjacent_deg3, step5_children, None, None),
+        (graphlib.find_degree_ge5, branch_b1, "step1"),
+        (graphlib.find_dominating_deg4, branch_b2, "step2"),
+        (graphlib.find_deg4_heavy_triangle, step3_children, None),
+        (graphlib.find_deg4_in_triangle, step4_children, None),
+        (graphlib.find_deg4_adjacent_deg3, step5_children, None),
     ),
     "cpp": (
-        (graphlib.find_degree_ge5, branch_b1, "step1", None),
-        (graphlib.find_dominating_deg4, branch_b2, "step2", [1, 2, 2, 2]),
-        (graphlib.find_deg4_in_triangle, step_star3_children, None, None),
-        (graphlib.find_deg4_adjacent_deg3, step5_children, "step*4", None),
+        (graphlib.find_degree_ge5, branch_b1, "step1"),
+        (graphlib.find_dominating_deg4, branch_b2, "step2"),
+        (graphlib.find_deg4_in_triangle, step_star3_children, None),
+        (graphlib.find_deg4_adjacent_deg3, step5_children, "step*4"),
     ),
 }
 
 
 def _pick_step(g: Graph, problem: str) -> BranchSet | None:
     """The first step of `problem` that applies to g, or None on a leaf."""
-    for find, build, rule, decrements in _STEPS[problem]:
+    for find, build, rule in _STEPS[problem]:
         found = find(g)
         if found:
             bs = build(g, *found)
             if rule is not None:
                 bs.rule = rule
-            if decrements is not None:
-                _assert_decrements(bs.children, decrements)
             return bs
     return None
 
@@ -515,7 +503,7 @@ class _Search:
         if known is not None or self.above.get(key, -1) >= cap:
             self.stats.memo_hits += 1
             return known if known is not None and known[0] <= cap else None
-        if graphlib.claw_packing(g, cap) > cap:
+        if graphlib.claw_packing(g) > cap:
             self.stats.bound_prunes += 1
             self.above[key] = cap
             return None

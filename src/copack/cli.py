@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import generators
 from .bdd import bdd_dp_solve
@@ -38,10 +38,9 @@ class RunConfig:
     decomposition: str | None = None
 
     def validate(self):
-        if self.problem not in ("cpcp", "cpp", "bdd"):
-            raise ValueError("unknown problem %r" % self.problem)
-        if (self.problem == "bdd") != (self.d is not None):
-            raise ValueError("--d is required for bdd and meaningless otherwise")
+        problem_bounds(self.problem, self.d)  # a known problem, and bdd's d >= 0
+        if self.problem != "bdd" and self.d is not None:
+            raise ValueError("--d is meaningless outside bdd")
         if self.mode not in ("auto", "dp", "oracle"):
             raise ValueError("unknown mode %r" % self.mode)
         if self.repeats < 1:
@@ -239,16 +238,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "solve":
-            cfg = RunConfig(
-                problem=args.problem,
-                d=args.d,
-                k=args.k,
-                optimize=args.optimize,
-                mode=args.mode,
-                seed=args.seed,
-                repeats=args.repeats,
-                decomposition=args.decomposition,
-            )
+            cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
             record, code = command_solve(cfg, args.graph)
             _emit(record)
             return code

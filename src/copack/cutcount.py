@@ -74,7 +74,6 @@ class WeightAssignment:
 
     vertex_weights: dict
     edge_weights: dict
-    n_max: int
 
 
 def sample_weights(g: Graph, seed: int) -> WeightAssignment:
@@ -84,7 +83,7 @@ def sample_weights(g: Graph, seed: int) -> WeightAssignment:
     rng = random.Random(seed)
     vw = {v: rng.randint(1, n_max) for v in verts}
     ew = {e: rng.randint(1, n_max) for e in edges}
-    return WeightAssignment(vw, ew, n_max)
+    return WeightAssignment(vw, ew)
 
 
 def _keep(labels: int, p: int, nbrs: list, ew: dict, wv: int) -> list:

@@ -232,11 +232,9 @@ def heuristic_pd(g: Graph) -> PathDecomposition:
 def decomposition_for(g: Graph) -> PathDecomposition:
     """Best decomposition we can afford: each component exact up to
     EXACT_PATHWIDTH_LIMIT vertices and greedy above, the bags concatenated."""
-    comps = g.components()
     bags: list[frozenset] = []
-    for comp in comps:
-        h = g if len(comps) == 1 else g.without_vertices(set(g.vertices()).difference(comp))
-        pd = exact_pathwidth(h)[1] if len(comp) <= EXACT_PATHWIDTH_LIMIT else heuristic_pd(h)
+    for h in g.copy().split():
+        pd = exact_pathwidth(h)[1] if h.alive_count <= EXACT_PATHWIDTH_LIMIT else heuristic_pd(h)
         bags += pd.bags
     return PathDecomposition(bags)
 

@@ -24,14 +24,13 @@ class Graph:
     order. Branch siblings work on copies, never on shared mutable state.
     """
 
-    __slots__ = ("size", "_adj", "_m")
+    __slots__ = ("size", "_adj")
 
     def __init__(self, n: int):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.size = n
         self._adj: dict[int, set[int]] = {v: set() for v in range(n)}
-        self._m = 0
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -44,7 +43,6 @@ class Graph:
         g = Graph.__new__(Graph)
         g.size = self.size
         g._adj = {v: set(s) for v, s in self._adj.items()}
-        g._m = self._m
         return g
 
     # ------------------------------------------------------------- queries
@@ -62,7 +60,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return self._m
+        return sum(map(len, self._adj.values())) // 2
 
     def vertices(self) -> list[int]:
         return list(self._adj)
@@ -156,7 +154,6 @@ class Graph:
             raise ValueError("edge (%d, %d) already present" % (u, v))
         self._adj[u].add(v)
         self._adj[v].add(u)
-        self._m += 1
 
     def remove_edge(self, u: int, v: int):
         self._check(u)
@@ -165,13 +162,11 @@ class Graph:
             raise ValueError("edge (%d, %d) not present" % (u, v))
         self._adj[u].discard(v)
         self._adj[v].discard(u)
-        self._m -= 1
 
     def remove_vertex(self, v: int):
         self._check(v)
-        for u in self._adj[v]:
+        for u in self._adj.pop(v):
             self._adj[u].discard(v)
-        self._m -= len(self._adj.pop(v))
 
     def remove_vertices(self, vs) -> set[int]:
         """Remove every vertex of vs; return the vertices left that lost a
@@ -184,7 +179,6 @@ class Graph:
             nb = adj.pop(v)
             for u in nb:
                 adj[u].discard(v)
-            self._m -= len(nb)
             touched |= nb
         touched -= vs
         return touched
@@ -202,16 +196,9 @@ class Graph:
             g = Graph.__new__(Graph)
             g.size = self.size
             g._adj = {v: self._adj[v] for v in comp}
-            g._m = sum(map(len, g._adj.values())) // 2
             parts.append(g)
         self._adj = {}
-        self._m = 0
         return parts
-
-    def without_edge(self, u: int, v: int) -> "Graph":
-        g = self.copy()
-        g.remove_edge(u, v)
-        return g
 
 
 # -------------------------------------------------------- structure search
@@ -410,27 +397,20 @@ def find_trivial_components(g: Graph, scan=None):
     return found or None
 
 
-def claw_packing(g: Graph, cap: int) -> int:
-    """The size of a packing of vertex-disjoint claws in g, counted until it
-    exceeds cap. A claw is a vertex with three of its neighbors; every claw
-    keeps a vertex of degree 3 unless one of its four vertices is deleted, so
-    the size is a lower bound on any deletion set leaving maximum degree <= 2.
+def claw_packing(g: Graph) -> int:
+    """The size of a packing of vertex-disjoint claws in g. A claw is a
+    vertex with three of its neighbors; every claw keeps a vertex of degree 3
+    unless one of its four vertices is deleted, so the size is a lower bound
+    on any deletion set leaving maximum degree <= 2.
 
     Greedy: centres of degree >= 3, highest degree first, each taking the
-    three unused neighbors of lowest degree. A packing has at most one claw
-    per centre and one per four vertices, so the greedy stops, with the
-    claws taken so far, once those limits on what is left cannot take the
-    count past cap."""
+    three unused neighbors of lowest degree."""
     adj = g._adj
-    if len(adj) // 4 <= cap:
-        return 0
     centres = [v for v, nb in adj.items() if len(nb) >= 3]
     centres.sort(key=lambda v: -len(adj[v]))  # stable: equal degrees stay in id order
     used = set()
     count = 0
-    for i, v in enumerate(centres):
-        if count + min(len(centres) - i, (len(adj) - len(used)) // 4) <= cap:
-            break
+    for v in centres:
         if v in used:
             continue
         free = adj[v] - used
@@ -439,6 +419,4 @@ def claw_packing(g: Graph, cap: int) -> int:
         used.add(v)
         used.update(sorted(free, key=lambda u: (len(adj[u]), u))[:3])
         count += 1
-        if count > cap:
-            break
     return count

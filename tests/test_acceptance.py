@@ -280,7 +280,9 @@ def test_criterion_09_reduction_rule_soundness():
         e = (low_degree_edges(g) or [None])[0]
         if e is not None and fired["rr2"] < 300:
             fired["rr2"] += 1
-            if oracle_min(g, "cpcp") != oracle_min(g.without_edge(*e), "cpcp"):
+            g2 = g.copy()
+            g2.remove_edge(*e)
+            if oracle_min(g, "cpcp") != oracle_min(g2, "cpcp"):
                 bad.append(("rr2", trial))
         tri = find_triangle_single_neighbor(g)
         if tri is not None and fired["rr3"] < 300:

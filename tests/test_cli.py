@@ -286,6 +286,58 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["solve", "--problem", "cpcp", "-k", "1", str(tmp_path / "missing.gr")]) == 2
 
 
+def test_validate_refuses_bad_configurations(tmp_path, capsys, monkeypatch):
+    """Each configuration RunConfig.validate refuses exits 2 through main,
+    with one error line and no record, before the graph is decomposed."""
+    import copack.cli
+
+    def decomposed(g):
+        raise AssertionError("decomposed before the configuration was checked")
+
+    monkeypatch.setattr(copack.cli, "decomposition_for", decomposed)
+    f = tmp_path / "c6.gr"
+    f.write_text(command_gen("cycle", [6]))
+    for argv, message in ((["--problem", "bdd", "--d", "-1", "--optimize"], "bdd needs d >= 0"),
+                          (["--problem", "bdd", "-k", "1"], "bdd needs d >= 0"),
+                          (["--problem", "cpcp", "--d", "1", "-k", "1"], "--d is meaningless outside bdd"),
+                          (["--problem", "cpp", "-k", "1", "--repeats", "0"], "repeats must be >= 1"),
+                          (["--problem", "cpcp", "-k", "-1"], "k must be >= 0")):
+        assert main(["solve", str(f)] + argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: %s\n" % message, argv
+
+
+def test_format_errors_name_their_line(tmp_path, capsys):
+    """A duplicate header, negative header counts, an edge line of one or
+    three fields and a bag out of sequence each raise a format error naming
+    its line, and solve exits 2 on them with that error."""
+    graphs = (("p edge 2 1\np edge 2 1\ne 1 2\n", 2, "duplicate header"),
+              ("c n < 0\np edge -1 0\n", 2, "negative counts in header"),
+              ("p edge 2 -1\n", 1, "negative counts in header"),
+              ("p edge 2 1\n\ne 1\n", 3, "expected 'e <u> <v>'"),
+              ("p edge 3 1\ne 1 2 3\n", 2, "expected 'e <u> <v>'"))
+    f = tmp_path / "g.gr"
+    for text, line, message in graphs:
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph(text)
+        assert exc.value.line == line and str(exc.value) == "line %d: %s" % (line, message), text
+        f.write_text(text)
+        assert main(["solve", "--problem", "cpcp", "-k", "1", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: %s\n" % exc.value
+
+    text = "p pd 2 2 3\nb 1 1 2\nb 3 2 3\n"
+    with pytest.raises(GraphFormatError) as exc:
+        parse_decomposition(text)
+    assert exc.value.line == 3 and str(exc.value) == "line 3: expected 'b 2 <v1> <v2> ...'"
+    f.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+    df = tmp_path / "p3.pd"
+    df.write_text(text)
+    assert main(["solve", "--problem", "cpcp", "-k", "1", "--mode", "dp", "--decomposition", str(df), str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: %s\n" % exc.value
+
+
 def test_cpp_solves_a_planted_graph_of_220_vertices(tmp_path, capsys):
     """At -k 20 the search answers yes; every leaf it reaches settles in the
     deletion DP, whose witness leaves no cycle, so no cut & count runs. The

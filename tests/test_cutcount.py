@@ -25,12 +25,13 @@ def events_for(g):
 def test_sample_weights():
     empty = Graph(0)
     w = sample_weights(empty, seed=1)
-    assert w.n_max == 0 and not w.vertex_weights and not w.edge_weights
+    assert not w.vertex_weights and not w.edge_weights
     p2 = path_graph(2)
     w = sample_weights(p2, seed=5)
-    assert w.n_max == 9
-    assert all(1 <= x <= 9 for x in w.vertex_weights.values())
-    assert all(1 <= x <= 9 for x in w.edge_weights.values())
+    top = 3 * (p2.alive_count + p2.edge_count)  # 3(n + m) = 9
+    assert set(w.vertex_weights) == {0, 1} and set(w.edge_weights) == {(0, 1)}
+    assert all(1 <= x <= top for x in w.vertex_weights.values())
+    assert all(1 <= x <= top for x in w.edge_weights.values())
     again = sample_weights(p2, seed=5)
     assert again == w
     assert sample_weights(p2, seed=6) != w
@@ -228,7 +229,7 @@ def test_parity_pruning_keeps_every_reachable_key():
         ev = to_nice(heuristic_pd(g))
         w = sample_weights(g, seed=derive_seed(n, 1))
         big = sum(w.vertex_weights.values()) + sum(w.edge_weights.values()) + 1
-        lifted = WeightAssignment({v: x + big for v, x in w.vertex_weights.items()}, w.edge_weights, w.n_max)
+        lifted = WeightAssignment({v: x + big for v, x in w.vertex_weights.items()}, w.edge_weights)
         full = parity_dp(g, ev, lifted, 0)
         mask = (1 << big) - 1
         for t in range(n + 1):
