@@ -24,9 +24,11 @@ for name, g in (
     print("%-9s pathwidth=%d   greedy width=%d" % (name, width, greedy.width))
 
 # Every decomposition turns into a sequence of introduce/forget events of the
-# same width. Every DP replays them with walk, which is also what validate
-# runs: it reports the first broken property (P1 vertices, P2 edges, P3
-# contiguity) and a witness, here an edge of C6 that no bag holds.
+# same width. Every DP replays them with walk, which gives each bag vertex a
+# slot, below the largest bag size, that it keeps until its forget: the DPs
+# store its label there. walk is also what validate runs: it reports the
+# first broken property (P1 vertices, P2 edges, P3 contiguity) and a
+# witness, here an edge of C6 that no bag holds.
 g = cycle_graph(6)
 width, pd = exact_pathwidth(g)
 events = to_nice(pd)

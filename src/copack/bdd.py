@@ -1,9 +1,9 @@
 """Deletion DP over introduce/forget events: minimum vertex set whose removal
 leaves maximum degree at most d, in at most O*((d+2)^width) table size.
 
-Bag vertices carry one label each: "deleted" (d + 1), or "kept with degree
-exactly j among already-processed kept vertices" for j in 0..d. Introducing a
-kept vertex bumps each kept bag-neighbor's degree label by one; a label past d
+Bag vertices carry one label each: "deleted", or "kept with degree exactly
+j among already-processed kept vertices" for j in 0..d. Introducing a kept
+vertex bumps each kept bag-neighbor's degree label by one; a label past d
 kills the branch. Forgetting a vertex projects its label away, keeping the
 cheaper table entry.
 
@@ -20,11 +20,15 @@ fewer deleted fields than the one that matches it, so every chain of drops
 ends in a kept entry that matches them all: minima are unchanged, and the
 final entry's mask is still a minimum witness.
 
-A bag labelling is one int of w = (d+1).bit_length() bit fields, bag
-position i in bits i*w .. i*w + w - 1, so the labels 0..d+1 fit. Introducing
-at position p splices a field in at bit p*w, forgetting cuts it out, and a
-degree bump adds 1 << i*w, which never carries since a bumped label stays
-at most d.
+A bag labelling is one int of w = (d+1).bit_length() bit fields. Each bag
+vertex keeps the slot `walk` gives it from its introduce to its forget, and
+its field at bits slot*w .. slot*w + w - 1; "deleted" is the all-ones field
+and degrees 0..d lie below it. A free slot's field is 0, so introducing v
+ORs its label in, forgetting it clears its field with one AND, and a degree
+bump adds 1 << slot*w, which never carries since a bumped label stays at
+most d. No two children of an introduce share a key: v's field tells a
+deleted child from a kept one, and the degree bump is injective, so an
+introduce stores each child without comparing costs.
 
 Each entry is the cheapest deletion set reaching its labels, as a bitmask
 over introduce order: its cost is the mask's bit count, and the final
@@ -41,31 +45,25 @@ def bdd_dp_solve(g: Graph, events: NiceEventSequence, d: int) -> tuple[int, set[
     """(minimum deletions for max degree <= d, one witness set)."""
     if d < 0:
         raise ValueError("degree bound d must be >= 0")
-    del_label = d + 1
-    w = del_label.bit_length()
-    field = (1 << w) - 1
+    w = (d + 1).bit_length()
+    full = (1 << w) - 1  # the deleted label
     table: dict[int, int] = {0: 0}
     order: list[int] = []  # bit i of a mask stands for order[i]
 
-    for op, v, p, bag in events.walk(g):
+    for op, v, slot, bag in events.walk(g):
         new: dict[int, int] = {}
-        sh = p * w
-        low = (1 << sh) - 1
+        sh = slot * w
         if op == "introduce":
             bit = 1 << len(order)
             order.append(v)
-            deleted = del_label << sh
-            nbr_sh = [i * w for i, u in enumerate(bag) if u in g._adj[v]]
+            deleted = full << sh
+            nbr_sh = [bag[u] * w for u in g._adj[v] if u in bag]
             for s, mask in table.items():  # s: the packed labels, bumped below
-                cost = mask.bit_count()
-                nl = (s & low) | ((s >> sh) << (sh + w)) | deleted
-                old = new.get(nl)
-                if old is None or cost + 1 < old.bit_count():
-                    new[nl] = mask | bit
+                new[s | deleted] = mask | bit
                 kept_nbrs = 0
                 for j in nbr_sh:
-                    l = s >> j & field
-                    if l == del_label:
+                    l = s >> j & full
+                    if l == full:
                         continue
                     if l == d:
                         break
@@ -73,25 +71,23 @@ def bdd_dp_solve(g: Graph, events: NiceEventSequence, d: int) -> tuple[int, set[
                     kept_nbrs += 1
                 else:
                     rival = table.get(s)  # s is bump(s) now; a cheaper one's v-deleted child wins
-                    if kept_nbrs <= d and (rival is None or rival.bit_count() >= cost):
-                        nl = (s & low) | ((s >> sh) << (sh + w)) | (kept_nbrs << sh)
-                        old = new.get(nl)
-                        if old is None or cost < old.bit_count():
-                            new[nl] = mask
+                    if kept_nbrs <= d and (rival is None or rival.bit_count() >= mask.bit_count()):
+                        new[s | kept_nbrs << sh] = mask
             assert len(new) <= (d + 2) ** (len(bag) + 1)
         else:
+            clear = ~(full << sh)
             projected: dict[int, int] = {}
             for s, mask in table.items():
-                nl = (s & low) | ((s >> (sh + w)) << sh)
-                old = projected.get(nl)
+                s &= clear
+                old = projected.get(s)
                 if old is None or mask.bit_count() < old.bit_count():
-                    projected[nl] = mask
+                    projected[s] = mask
+            fields = [full << t * w for u, t in bag.items() if u != v]
             for s, mask in projected.items():
                 cost = mask.bit_count()
-                for j in range(0, (len(bag) - 1) * w, w):
-                    l = s >> j & field
-                    if l != del_label:
-                        rival = projected.get(s + (del_label - l << j))
+                for f in fields:
+                    if s & f != f:
+                        rival = projected.get(s | f)
                         if rival is not None and rival.bit_count() <= cost:
                             break
                 else:

@@ -36,16 +36,18 @@ share all four counts, so they share the folded key too.
 A key is one int. Its low bits hold n_sat, in need.bit_length() bits; then
 delta + N, for a graph of N vertices and E edges, in (N + E).bit_length()
 bits, since every partial candidate has -n/2 <= delta <= m <= E; then one
-3-bit field per bag label, bag position i in the i-th. Introducing at
-position p splices a field in, forgetting cuts one out, a delta move is an
-addition at the delta field, and n_sat counts up by adding 1. The keep
-moves of a labelling are precomputed as (shifted labels + delta change), so
-a kept vertex costs one addition per move. Each key maps to a Python
-int whose bit w is the count's parity at weight w: toggling a count is an
-XOR, adding a vertex or edge weight is a left shift of the whole int, and an
+3-bit label field per bag vertex, at the slot `walk` gives it from its
+introduce to its forget. DEL is 0 and a free slot's field is 0, so a
+deleted vertex leaves its parent's key unchanged and a forget clears one
+field with an AND. A delta move is an addition at the delta field, and
+n_sat counts up by adding 1. The keep moves of a labelling are precomputed
+as (new labels, with v's ORed into its slot, + delta change), so a kept
+vertex costs one addition per move. Each key maps to a Python int whose
+bit w is the count's parity at weight w: toggling a count is an XOR,
+adding a vertex or edge weight is a left shift of the whole int, and an
 entry whose int reaches 0 is skipped by the next event, so no pass over
-the table filters it. The DP returns the final table as
-{delta: bits} over the candidates with n >= need; the decision reads delta 0.
+the table filters it. The DP returns the final table as {delta: bits} over
+the candidates with n >= need; the decision reads delta 0.
 """
 
 from __future__ import annotations
@@ -86,24 +88,22 @@ def sample_weights(g: Graph, seed: int) -> WeightAssignment:
     return WeightAssignment(vw, ew)
 
 
-def _keep(labels: int, p: int, nbrs: list, ew: dict, wv: int) -> list:
+def _keep(labels: int, slot: int, ew: dict, wv: int) -> list:
     """The keep rule's moves for the vertex of weight wv introduced at bag
-    position p of the packed labelling `labels`, with bag-neighbors at
-    positions nbrs and edge weight ew[i] towards position i: (new packed
-    labels, delta change, added weight) for each."""
-    kept = [i for i in nbrs if labels >> 3 * i & 7 != DEL]
+    slot `slot` of the packed labelling `labels`, with edge weight ew[i]
+    towards the bag-neighbor at slot i: (new packed labels, delta change,
+    added weight) for each."""
+    kept = [i for i in ew if labels >> 3 * i & 7 != DEL]
     ls = [labels >> 3 * i & 7 for i in kept]
     if len(kept) > 2 or TWO in ls or (ONE1 in ls and ONE2 in ls):
         return []
     dd = len(kept) - 1 - ls.count(ISO) if kept else 0
     sides = [s for s in (ONE1, ONE2) if s in ls] or ([ONE1, ONE2] if kept else [ONE1])
-    sh = 3 * p
     moves = []
     for side in sides:
-        base = labels
+        base = labels | (ISO, side, TWO)[len(kept)] << 3 * slot
         for i, l in zip(kept, ls):
             base ^= (l ^ (side if l == ISO else TWO)) << 3 * i
-        base = (base & ((1 << sh) - 1)) | ((base >> sh) << (sh + 3)) | ((ISO, side, TWO)[len(kept)] << sh)
         marked = [(base, dd, wv)]
         if side == ONE1:
             for i in kept:
@@ -125,34 +125,27 @@ def parity_dp(g: Graph, events: NiceEventSequence, weights: WeightAssignment, ne
     ns_mask, d_mask, aux_mask = (1 << ns_bits) - 1, (1 << d_bits) - 1, (1 << aux) - 1
     table: dict = {off << ns_bits: 1}
 
-    for op, v, p, bag in events.walk(g):
+    for op, v, slot, bag in events.walk(g):
         new: dict = {}
-        sh = aux + 3 * p
-        low = (1 << sh) - 1
         if op == "introduce":
             intro_left -= 1
             floor = need - intro_left  # fewer kept vertices than this cannot reach need
-            below = low ^ aux_mask  # the label fields before position p
-            nbrs = [i for i in range(len(bag)) if bag[i] in g._adj[v]]
-            ew = {i: weights.edge_weights[(min(bag[i], v), max(bag[i], v))] for i in nbrs}
+            ew = {bag[u]: weights.edge_weights[(min(u, v), max(u, v))] for u in g._adj[v] if u in bag}
             wv = weights.vertex_weights[v]
-            memo: dict = {}  # labels -> (key bits with v deleted, keep moves)
+            memo: dict = {}  # labels -> keep moves
             for key, bits in table.items():
                 if not bits:
                     continue
                 labels = key >> aux
-                entry = memo.get(labels)
-                if entry is None:
-                    entry = memo[labels] = (
-                        (key & below) | ((key >> sh) << (sh + 3)) | (DEL << sh),
-                        [((nl << aux) + (dd << ns_bits), shift) for nl, dd, shift in _keep(labels, p, nbrs, ew, wv)],
-                    )
-                deleted, keeps = entry
+                keeps = memo.get(labels)
+                if keeps is None:
+                    keeps = memo[labels] = [
+                        ((nl << aux) + (dd << ns_bits), shift) for nl, dd, shift in _keep(labels, slot, ew, wv)
+                    ]
                 a = key & aux_mask
                 ns = a & ns_mask
-                if ns >= floor:
-                    nk = deleted | a
-                    new[nk] = new.get(nk, 0) ^ bits
+                if ns >= floor:  # v deleted: its field stays DEL, so the key is unchanged
+                    new[key] = bits
                 if ns < need:
                     a += 1
                     ns += 1
@@ -161,9 +154,10 @@ def parity_dp(g: Graph, events: NiceEventSequence, weights: WeightAssignment, ne
                         nk = nl + a
                         new[nk] = new.get(nk, 0) ^ (bits << shift)
         else:
+            clear = ~(7 << aux + 3 * slot)
             for key, bits in table.items():
                 if bits:
-                    nk = (key & low) | ((key >> (sh + 3)) << sh)
+                    nk = key & clear
                     new[nk] = new.get(nk, 0) ^ bits
         table = new
 

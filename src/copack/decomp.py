@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .dimacs import check_count, read_lines
@@ -62,19 +61,22 @@ class NiceEventSequence:
         self.width = width
 
     def walk(self, g: Graph):
-        """Replay the events over g, yielding (op, v, p, bag): bag is the sorted
-        bag before the event, valid until the next step, and p is v's position
-        in it. Raises Violation at the first broken property: P1 for a dead
-        vertex or an alive one never introduced, P2 for an introduce after a
-        neighbor's forget, P3 for a second introduce. Raises ValueError on a
-        forget outside the bag, an unknown op or a nonempty final bag."""
-        bag: list[int] = []
+        """Replay the events over g, yielding (op, v, slot, bag): bag maps each
+        vertex of the bag before the event to its slot, valid until the next
+        step, and slot is v's. A vertex keeps its slot from its introduce to
+        its forget; an introduce takes the slot forgotten last, or len(bag)
+        when none is free, so slots stay below the largest bag size. Raises
+        Violation at the first broken property: P1 for a dead vertex or an
+        alive one never introduced, P2 for an introduce after a neighbor's
+        forget, P3 for a second introduce. Raises ValueError on a forget
+        outside the bag, an unknown op or a nonempty final bag."""
+        bag: dict[int, int] = {}
+        free: list[int] = []  # slots of forgotten vertices, the last on top
         introduced: set[int] = set()
         forgotten: set[int] = set()
         for op, v in self.events:
             if not g.is_alive(v):
                 raise Violation("P1", (v,))
-            p = bisect_left(bag, v)
             if op == "introduce":
                 if v in introduced:
                     raise Violation("P3", (v,))
@@ -83,18 +85,21 @@ class NiceEventSequence:
                     u = min(missed)
                     raise Violation("P2", (min(u, v), max(u, v)))
                 introduced.add(v)
-                yield op, v, p, bag
-                bag.insert(p, v)
+                slot = free.pop() if free else len(bag)
+                yield op, v, slot, bag
+                bag[v] = slot
             elif op == "forget":
-                if p == len(bag) or bag[p] != v:
+                slot = bag.get(v)
+                if slot is None:
                     raise ValueError("vertex %d forgotten while not in bag" % v)
-                yield op, v, p, bag
-                bag.pop(p)
+                yield op, v, slot, bag
+                del bag[v]
+                free.append(slot)
                 forgotten.add(v)
             else:
                 raise ValueError("unknown event %r" % (op,))
         if bag:
-            raise ValueError("events leave a nonempty bag: %s" % bag)
+            raise ValueError("events leave a nonempty bag: %s" % sorted(bag))
         if g.alive_count != len(introduced):
             raise Violation("P1", (min(set(g.vertices()) - introduced),))
 
@@ -194,13 +199,17 @@ def exact_pathwidth(g: Graph):
 
 def _layout_to_decomposition(g: Graph, order: list[int]) -> PathDecomposition:
     """Bags from a vertex layout: placed vertices with unplaced neighbors, plus the newcomer."""
-    placed: set[int] = set()
+    unplaced = {v: len(g._adj[v]) for v in order}  # v's unplaced neighbors
+    boundary: set[int] = set()  # placed vertices with an unplaced neighbor
     bags = []
     for v in order:
-        bag = {u for u in placed if g._adj[u] - placed}
-        bag.add(v)
-        bags.append(bag)
-        placed.add(v)
+        bags.append(boundary | {v})
+        for u in g._adj[v]:
+            unplaced[u] -= 1
+            if not unplaced[u]:
+                boundary.discard(u)
+        if unplaced[v]:
+            boundary.add(v)
     return PathDecomposition(bags)
 
 

@@ -10,34 +10,28 @@ from copack.graph import Graph
 
 def reference_bdd_dp(g: Graph, events: NiceEventSequence, d: int) -> tuple[int, set[int]]:
     """(minimum deletions for max degree <= d, one witness set), with the
-    labels and packing of `copack.bdd` and no entry dropped."""
+    labels and slot-addressed fields of `copack.bdd` and no entry dropped.
+    Asserts that no two children of an introduce share a key."""
     if d < 0:
         raise ValueError("degree bound d must be >= 0")
-    del_label = d + 1
-    w = del_label.bit_length()
-    field = (1 << w) - 1
+    w = (d + 1).bit_length()
+    full = (1 << w) - 1  # the deleted label
     table: dict[int, int] = {0: 0}
     order: list[int] = []  # bit i of a mask stands for order[i]
 
-    for op, v, p, bag in events.walk(g):
+    for op, v, slot, bag in events.walk(g):
         new: dict[int, int] = {}
-        sh = p * w
-        low = (1 << sh) - 1
+        sh = slot * w
         if op == "introduce":
             bit = 1 << len(order)
             order.append(v)
-            deleted = del_label << sh
-            nbr_sh = [i * w for i, u in enumerate(bag) if u in g._adj[v]]
+            nbr_sh = [bag[u] * w for u in g._adj[v] if u in bag]
             for s, mask in table.items():  # s: the packed labels, bumped below
-                cost = mask.bit_count()
-                nl = (s & low) | ((s >> sh) << (sh + w)) | deleted
-                old = new.get(nl)
-                if old is None or cost + 1 < old.bit_count():
-                    new[nl] = mask | bit
+                children = [(s | full << sh, mask | bit)]
                 kept_nbrs = 0
                 for j in nbr_sh:
-                    l = s >> j & field
-                    if l == del_label:
+                    l = s >> j & full
+                    if l == full:
                         continue
                     if l == d:
                         break
@@ -45,14 +39,14 @@ def reference_bdd_dp(g: Graph, events: NiceEventSequence, d: int) -> tuple[int, 
                     kept_nbrs += 1
                 else:
                     if kept_nbrs <= d:
-                        nl = (s & low) | ((s >> sh) << (sh + w)) | (kept_nbrs << sh)
-                        old = new.get(nl)
-                        if old is None or cost < old.bit_count():
-                            new[nl] = mask
+                        children.append((s | kept_nbrs << sh, mask))
+                for nl, m in children:
+                    assert nl not in new, "two labellings share a key"
+                    new[nl] = m
             assert len(new) <= (d + 2) ** (len(bag) + 1)
         else:
             for s, mask in table.items():
-                nl = (s & low) | ((s >> (sh + w)) << sh)
+                nl = s & ~(full << sh)
                 old = new.get(nl)
                 if old is None or mask.bit_count() < old.bit_count():
                     new[nl] = mask

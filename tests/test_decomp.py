@@ -8,6 +8,7 @@ from copack.decomp import (
     NiceEventSequence,
     PathDecomposition,
     Violation,
+    _layout_to_decomposition,
     decomposition_for,
     exact_pathwidth,
     guard_check,
@@ -21,7 +22,7 @@ from copack.decomp import (
 from copack.errors import GraphFormatError, SizeLimitError
 from copack.generators import cycle_graph, grid_graph, path_graph, complete_graph, proper_graph
 from copack.graph import Graph
-from conftest import all_graphs, random_graph
+from conftest import all_graphs, layout_decomposition, random_graph
 
 
 def test_validate_examples():
@@ -51,6 +52,36 @@ def test_to_nice_examples():
     assert [op for op, *_ in ev.walk(p3)] == ["introduce", "introduce", "forget", "introduce", "forget", "forget"]
     single = to_nice(PathDecomposition([{0}]))
     assert single.events == [("introduce", 0), ("forget", 0)]
+
+
+def test_walk_slots_are_fixed_and_below_the_bag_size(rng):
+    # each bag vertex keeps one slot from introduce to forget, no two share
+    # one, and no slot reaches the largest bag size
+    for t in range(60):
+        g = random_graph(t + 2600, n_lo=1, n_hi=12)
+        order = g.vertices()
+        rng.shuffle(order)
+        for pd in (layout_decomposition(g, order), exact_pathwidth(g)[1], heuristic_pd(g)):
+            ev = to_nice(pd)
+            seen, introduced_at = [], {}
+            for op, v, slot, bag in ev.walk(g):
+                seen.append((op, v))
+                assert len(set(bag.values())) == len(bag)
+                assert all(0 <= s <= ev.width for s in bag.values()) and 0 <= slot <= ev.width
+                if op == "introduce":
+                    assert v not in bag and slot not in bag.values()
+                    introduced_at[v] = slot
+                else:
+                    assert bag[v] == slot == introduced_at[v]
+            assert seen == ev.events
+
+
+def test_layout_bags_match_a_rescan_of_the_placed_vertices(rng):
+    for t in range(80):
+        g = random_graph(t + 2700, n_lo=1, n_hi=14)
+        order = g.vertices()
+        rng.shuffle(order)
+        assert _layout_to_decomposition(g, order).bags == layout_decomposition(g, order).bags
 
 
 def test_to_nice_preserves_width(rng):
