@@ -25,7 +25,6 @@ from .cutcount import (
     sample_weights,
 )
 from .decomp import (
-    GuardReport,
     NiceEventSequence,
     PathDecomposition,
     Violation,

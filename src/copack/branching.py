@@ -3,16 +3,20 @@
 One depth-first branch and bound serves both problems: it runs the
 reductions to a fixpoint at every node, solves the components left one at a
 time, refutes any whose claw packing exceeds its budget, fires the first
-applicable branching step on each, whose children are
-the vertex sets they delete, and hands proper components to the deletion
-DP, and those cpp components whose DP witness leaves a cycle on to cut &
-count. Cases the earlier fixpoints provably rule out raise InternalSolverError: a
-silent fallback there would mask a broken reduction, not recover from one.
+applicable branching step on each, whose children are the vertex sets they
+delete, and hands proper components to the deletion DP, and those cpp
+components whose DP witness leaves a cycle on to cut & count. Besides
+deleting trivial components, cpcp reduces with two local rules and cpp with
+one, the contraction of a degree-2 vertex whose neighbors both have degree
+<= 2; at either fixpoint every degree-2 vertex has a neighbor of degree
+>= 3, as a proper graph needs. Cases the earlier fixpoints provably rule out
+raise InternalSolverError: a silent fallback there would mask a broken
+reduction, not recover from one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import combinations
 
 from . import cutcount, decomp, graph as graphlib
@@ -52,12 +56,6 @@ class SolveStats:
     guard_rejects: int = 0
     bound_prunes: int = 0
     memo_hits: int = 0
-
-    def add(self, other: SolveStats):
-        """Fold in another solve's counters: the widest leaf, and sums of the rest."""
-        for f in fields(self):
-            a, b = getattr(self, f.name), getattr(other, f.name)
-            setattr(self, f.name, max(a, b) if f.name == "width" else a + b)
 
 
 @dataclass
@@ -124,8 +122,9 @@ def _delete(inst: Instance, removed, deleted):
     return 1, changed
 
 
-def _smooth(inst: Instance, a: int, mid: int, b: int):
+def _smooth(inst: Instance, path):
     """Replace the path a - mid - b by the edge a - b."""
+    a, mid, b = path
     inst.graph.remove_vertex(mid)
     inst.graph.add_edge(a, b)
     return 1, (a, b)
@@ -151,13 +150,11 @@ _REDUCTIONS = {
         (graphlib.find_triangle_single_neighbor, lambda inst, tri: _delete(inst, tri, tri[3:])),
     ),
     "cpp": (
-        # contract one interior vertex out of any all-degree-2 path with >= 3
-        # interior vertices
-        (graphlib.find_degree_two_path, lambda inst, path: _smooth(inst, *path[1:4])),
-        # x - c1 - c2 - ...: some minimum solution intersects the chain in
-        # nothing or exactly the vertex next to its anchor, so dropping c1
-        # preserves the answer just like the long-path contraction
-        (graphlib.find_pendant_chain, lambda inst, chain: _smooth(inst, *chain)),
+        # contract a degree-2 vertex whose neighbors a, b have degree <= 2 and
+        # are not adjacent into the edge a - b: a deletion set of the smaller
+        # graph leaves paths in this one too, so witnesses lift as they are,
+        # and one of this graph that takes mid can take a instead
+        (graphlib.find_contractible, _smooth),
     ),
 }
 
@@ -537,7 +534,7 @@ class _Search:
         at the cap alone."""
         if not decomp.is_proper(g):
             raise InternalSolverError("branching left a non-proper graph: %s" % (g.edges(),))
-        if not decomp.guard_check(g, cap).ok:
+        if not decomp.guard_check(g, cap):
             self.stats.guard_rejects += 1
             return None
         events = decomp.to_nice(decomp.decomposition_for(g))

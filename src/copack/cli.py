@@ -109,35 +109,37 @@ def _events_for(g: Graph, cfg: RunConfig):
     return to_nice(pd)
 
 
-def _solve_decision(g: Graph, k: int, cfg: RunConfig, stats: SolveStats, events):
-    """One solve at budget k, exact under --optimize, counted into stats:
-    (answer, witness or None, the minimum or None). Given events, the
-    graph's decomposition, the deletion DP runs on the whole graph. A
-    witness must verify, or the solver is at fault."""
+def _solve_decision(g: Graph, cfg: RunConfig):
+    """The one solve of a run, at budget -k or, exact under --optimize, at
+    the vertex count: (answer, witness or None, the minimum or None, its
+    SolveStats). On a whole-graph route the deletion DP runs on the graph's
+    decomposition. A witness must verify, or the solver is at fault."""
+    k = g.alive_count if cfg.optimize else cfg.k
+    stats = SolveStats()
     if cfg.mode == "oracle":
         wit = oracle_witness(g, cfg.problem, cfg.d)
         mn = len(wit)
-    elif events is not None:
+    elif cfg.whole_dp:
+        events = _events_for(g, cfg)
         stats.dp_calls += 1
-        stats.width = max(stats.width, events.width)
+        stats.width = events.width
         mn, wit = bdd_dp_solve(g, events, problem_bounds(cfg.problem, cfg.d)[0])
         if cfg.problem == "cpp":
             # the deletion DP's minimum is a floor on cpp's: under --optimize
             # cut & count climbs from it, and it refutes any k below it
             found = least_cpp_budget(g, mn if cfg.optimize else max(mn, k), k, events,
                                      cfg.repeats, cfg.seed, stats)
-            return found is not None, None, (found if cfg.optimize else None)
+            return found is not None, None, (found if cfg.optimize else None), stats
     else:
         if cfg.problem == "cpp":
             out = solve_cpp(g, k, cfg.repeats, cfg.seed, cfg.optimize)
         else:
             out = solve_cpcp(g, k, cfg.optimize)
         # the search verifies any witness it returns
-        stats.add(out.stats)
-        return out.answer, out.witness, (out.size if cfg.optimize else None)
+        return out.answer, out.witness, (out.size if cfg.optimize else None), out.stats
     if len(wit) != mn or not verify(g, wit, cfg.problem, cfg.d):
         raise InternalSolverError("exact witness of size %d fails verification" % mn)
-    return mn <= k, (wit if mn <= k else None), mn
+    return mn <= k, (wit if mn <= k else None), mn, stats
 
 
 def command_solve(cfg: RunConfig, path: str):
@@ -151,9 +153,7 @@ def command_solve(cfg: RunConfig, path: str):
     if not cfg.optimize:
         record["k"] = cfg.k
     start = time.monotonic()
-    stats = SolveStats()
-    events = _events_for(g, cfg) if cfg.whole_dp else None
-    ans, witness, mn = _solve_decision(g, g.alive_count if cfg.optimize else cfg.k, cfg, stats, events)
+    ans, witness, mn, stats = _solve_decision(g, cfg)
     record["answer"] = "yes" if ans else "no"
     if mn is not None:
         record["min_size"] = mn

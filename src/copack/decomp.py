@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dimacs import check_count, read_lines
 from .errors import GraphFormatError, SizeLimitError
 from .graph import Graph
@@ -265,35 +263,18 @@ def is_proper(g: Graph) -> bool:
     return all(len(c) >= 6 for c in g.components())
 
 
-@dataclass(frozen=True)
-class GuardReport:
-    n3: int
-    n4: int
-    vertex_bound_ok: bool  # |V| <= 100 k
-    weight_bound_ok: bool  # n3/6 + n4/3 <= 2k/3
-
-    @property
-    def ok(self) -> bool:
-        return self.vertex_bound_ok and self.weight_bound_ok
-
-
-def guard_check(g: Graph, k: int) -> GuardReport:
+def guard_check(g: Graph, k: int) -> bool:
     """Fast no-instance test for proper graphs: any deletion set of size <= k
     forces |V| <= 100k and n3/6 + n4/3 <= 2k/3 (compared in integers as
-    n3 + 2*n4 <= 4k)."""
-    n3 = n4 = 0
-    for v in g.vertices():
-        d = len(g._adj[v])
+    n3 + 2*n4 <= 4k), where ni counts the vertices of degree i."""
+    weight = 0
+    for nb in g._adj.values():
+        d = len(nb)
         if d == 3:
-            n3 += 1
+            weight += 1
         elif d == 4:
-            n4 += 1
-    return GuardReport(
-        n3=n3,
-        n4=n4,
-        vertex_bound_ok=g.alive_count <= 100 * k,
-        weight_bound_ok=n3 + 2 * n4 <= 4 * k,
-    )
+            weight += 2
+    return g.alive_count <= 100 * k and weight <= 4 * k
 
 
 # ----------------------------------------------------------- text format

@@ -9,10 +9,6 @@ from itertools import combinations
 # step-4 shape analysis relies on no closed six-vertex component surviving.
 TRIVIAL_COMPONENT_SIZE = 6
 
-# cpp's contraction rule smooths paths of >= 4 edges (3+ interior vertices, so 2+
-# stay): a cycle hanging off one endpoint stays a triangle at least, never a double edge.
-DEGREE_TWO_PATH_MIN_EDGES = 4
-
 
 class Graph:
     """Simple undirected graph on vertex ids 0..size-1.
@@ -301,69 +297,25 @@ def low_degree_edges(g: Graph, scan=None):
     return sorted(found) or None
 
 
-def _run(adj, start, cur) -> list[int]:
-    """The walk start, cur, ... on through degree-2 vertices, up to the first
-    vertex of degree != 2 or back at start."""
-    seq = [start, cur]
-    while len(adj[cur]) == 2 and cur != start:
-        a, b = adj[cur]
-        cur = b if a == seq[-2] else a
-        seq.append(cur)
-    return seq
-
-
-def find_degree_two_path(g: Graph, scan=None):
-    """Path v0..vh whose endpoints have degree != 2 and whose h-1 internal
-    vertices all have degree 2, with h >= DEGREE_TWO_PATH_MIN_EDGES, through
-    a vertex of scan; the least by (v0, v1). The endpoints may coincide (a
-    cycle hanging off one vertex)."""
-    adj = g._adj
-    best = None
-    walked = set()  # internal vertices of the paths seen
-    for c in adj if scan is None else scan:
-        nc = adj.get(c)
-        if nc is None or c in walked:
-            continue
-        if len(nc) == 2:
-            a, b = nc
-            ahead = _run(adj, c, a)
-            if ahead[-1] == c:  # a cycle component
-                walked.update(ahead)
-                continue
-            paths = [_run(adj, c, b)[:0:-1] + ahead]
-        else:
-            paths = [_run(adj, c, a) for a in nc if len(adj[a]) == 2 and a not in walked]
-        for path in paths:
-            walked.update(path[1:-1])
-            if len(path) - 1 >= DEGREE_TWO_PATH_MIN_EDGES:
-                path = min(tuple(path), tuple(reversed(path)))
-                if best is None or path < best:
-                    best = path
-    return best
-
-
-def find_pendant_chain(g: Graph, scan=None):
-    """(x, c1, c2): the least degree-1 x whose neighbor c1 and next vertex c2
-    both have degree 2, with one of the three in scan. Too short for the
-    general degree-two-path rule, but its middle vertex still sees no
-    degree->=3 neighbor."""
+def find_contractible(g: Graph, scan=None):
+    """(a, mid, b), the least such triple: a degree-2 mid whose neighbors
+    a < b both have degree <= 2 and are not adjacent, with one of the three
+    in scan."""
     adj = g._adj
     best = None
     for c in adj if scan is None else scan:
         nc = adj.get(c)
         if nc is None or len(nc) > 2:
             continue
-        # c as x, as c1 (x a neighbor) or as c2 (x two steps away)
-        ends = [c] if len(nc) == 1 else [y for a in nc for y in (a, *adj[a]) if len(adj[y]) == 1]
-        for x in ends:
-            if best is not None and x >= best[0]:
-                continue
-            (c1,) = adj[x]
-            if len(adj[c1]) == 2:
-                a, b = adj[c1]
-                c2 = b if a == x else a
-                if len(adj[c2]) == 2:
-                    best = (x, c1, c2)
+        for mid in (c, *nc):  # c as mid, or as a or b
+            nm = adj[mid]
+            if len(nm) == 2:
+                a, b = nm
+                if a > b:
+                    a, b = b, a
+                if len(adj[a]) <= 2 and len(adj[b]) <= 2 and b not in adj[a]:
+                    if best is None or (a, mid, b) < best:
+                        best = (a, mid, b)
     return best
 
 

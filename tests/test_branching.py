@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -12,6 +13,7 @@ from copack.branching import (
     _trivial_cut,
     branch_b1,
     branch_b2,
+    least_cpp_budget,
     reduce_cpcp,
     reduce_cpp,
     solve_cpcp,
@@ -20,7 +22,7 @@ from copack.branching import (
 )
 from copack.errors import InternalSolverError
 from copack.generators import complete_graph, cycle_graph, gnm_graph, path_graph, planted_graph
-from copack.graph import Graph, find_pendant_chain, find_degree_two_path, find_triangle_single_neighbor, low_degree_edges
+from copack.graph import Graph, find_contractible, find_triangle_single_neighbor, low_degree_edges
 from copack.oracles import min_deletion_set, oracle_min, verify
 from conftest import all_graphs, random_graph
 
@@ -126,7 +128,9 @@ def test_low_degree_edges_in_one_pass_match_one_at_a_time(monkeypatch):
 
 
 def test_rule_soundness_single_applications(rng):
-    checked = {"rr2": 0, "rr3": 0, "rrstar2": 0, "pendant": 0}
+    """Each local rule keeps the minimum, and every minimum deletion set of
+    the contracted graph verifies on the original, as the search lifts it."""
+    checked = {"rr2": 0, "rr3": 0, "contract": 0}
     for t in range(3000):
         if all(v >= 40 for v in checked.values()):
             break
@@ -142,20 +146,19 @@ def test_rule_soundness_single_applications(rng):
             checked["rr3"] += 1
             g2 = g.without_vertices(tri)
             assert oracle_min(g, "cpcp") == oracle_min(g2, "cpcp") + 1
-        p = find_degree_two_path(g)
-        if p and checked["rrstar2"] < 60:
-            checked["rrstar2"] += 1
+        found = find_contractible(g)
+        if found and checked["contract"] < 60:
+            checked["contract"] += 1
+            a, mid, b = found
             g2 = g.copy()
-            g2.remove_vertex(p[2])
-            g2.add_edge(p[1], p[3])
-            assert oracle_min(g, "cpp") == oracle_min(g2, "cpp")
-        ch = find_pendant_chain(g)
-        if ch and checked["pendant"] < 60:
-            checked["pendant"] += 1
-            g2 = g.copy()
-            g2.remove_vertex(ch[1])
-            g2.add_edge(ch[0], ch[2])
-            assert oracle_min(g, "cpp") == oracle_min(g2, "cpp")
+            g2.remove_vertex(mid)
+            g2.add_edge(a, b)
+            mn = oracle_min(g2, "cpp")
+            assert oracle_min(g, "cpp") == mn, (t, g.edges())
+            for size in range(mn + 1):
+                for cut in combinations(g2.vertices(), size):
+                    if verify(g2, set(cut), "cpp"):
+                        assert size == mn and verify(g, set(cut), "cpp"), (t, cut, g.edges())
     assert all(v >= 40 for v in checked.values()), checked
 
 
@@ -170,6 +173,34 @@ def test_reduce_cpp_examples():
     inst = inst_of(cycle_graph(9), 3)
     reduce_cpp(inst)
     assert inst.graph.alive_count == 0 and inst.k == 2
+    # hubs 0-5 joined in a ring by chains of 1-6 interior vertices, a pendant
+    # chain of 1-5 vertices on each of hubs 0-4, and a cycle of 8 hanging off
+    # hub 5: each chain of m vertices keeps min(m, 2) of them, a pendant one
+    # its leaf among them, and the cycle shrinks to a triangle
+    edges, nxt = [], 6
+
+    def chain(first, m, last=None):
+        nonlocal nxt
+        run = [first] + list(range(nxt, nxt + m)) + ([] if last is None else [last])
+        nxt += m
+        edges.extend(zip(run, run[1:]))
+        return run[1:m + 1]
+
+    hub_chains = [chain(h, h + 1, (h + 1) % 6) for h in range(6)]
+    pendants = [chain(h, h + 1) for h in range(5)]
+    cycle = chain(5, 7, 5)
+    g = Graph.from_edges(nxt, edges)
+    inst = inst_of(g, g.alive_count)
+    reduce_cpp(inst)
+    h = inst.graph
+    assert inst.deleted == set() and h.components() == [sorted(h.vertices())]
+    for run in hub_chains:
+        assert len([v for v in run if h.is_alive(v)]) == min(len(run), 2), run
+    for run in pendants:
+        kept = [v for v in run if h.is_alive(v)]
+        assert len(kept) == min(len(run), 2) and run[-1] in kept, run
+    kept = [v for v in cycle if h.is_alive(v)]
+    assert len(kept) == 2 and h.has_edge(*kept) and all(h.has_edge(5, v) for v in kept)
 
 
 def test_reduce_budget_exhaustion_marker():
@@ -735,6 +766,25 @@ def test_cpcp_search_matches_leaf_dp_past_oracle():
         out = solve_cpcp(g, m)
         assert out.answer and len(out.witness) == m, (m, g.edges())
         assert not solve_cpcp(g, m - 1).answer, (m, g.edges())
+
+
+def test_cpp_search_matches_whole_graph_route_past_oracle():
+    """Past the oracle, the exact cpp search reads the minimum the
+    whole-graph route does: the deletion DP's floor on the graph's own
+    decomposition, then cut & count from it. planted(20 + s, 2 + s // 6,
+    s + 40) for s < 24, whose reductions contract chains before the leaves."""
+    from copack.bdd import bdd_dp_solve
+    from copack.decomp import decomposition_for, to_nice
+
+    reductions = 0
+    for s in range(24):
+        g = planted_graph(20 + s, 2 + s // 6, s + 40)
+        out = solve_cpp(g, g.alive_count, exact=True)
+        events = to_nice(decomposition_for(g))
+        floor = bdd_dp_solve(g, events, 2)[0]
+        assert least_cpp_budget(g, floor, g.alive_count, events, 10, 0, SolveStats()) == out.size, s
+        reductions += out.stats.reductions
+    assert reductions >= 24 * 10, reductions
 
 
 def disjoint_union(*parts):

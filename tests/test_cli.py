@@ -72,6 +72,7 @@ def test_command_factors_values():
 
 def test_command_gen_kinds(tmp_path):
     assert "p edge 6 6" in command_gen("cycle", [6])
+    assert "p edge 5 4" in command_gen("path", [5])
     text = command_gen("planted", [], seed=7, forest_n=12, k=3)
     assert "c planted_k 3" in text
     g = parse_graph(text)
@@ -89,6 +90,8 @@ def test_gen_checks_its_parameter_count(capsys):
         assert main(["gen"] + argv) == 2
         err = capsys.readouterr().err
         assert err == "error: gen %s takes parameters %s\n" % (argv[0], needs)
+    assert main(["gen", "planted", "--k", "1"]) == 2
+    assert capsys.readouterr().err == "error: planted needs --forest-n and --k\n"
     with pytest.raises(SystemExit):
         main(["gen", "mystery", "3"])
     assert "invalid choice" in capsys.readouterr().err
@@ -305,6 +308,8 @@ def test_validate_refuses_bad_configurations(tmp_path, capsys, monkeypatch):
         assert main(["solve", str(f)] + argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: %s\n" % message, argv
+    with pytest.raises(ValueError, match="unknown mode 'x'"):
+        RunConfig(problem="cpp", k=1, mode="x").validate()
 
 
 def test_format_errors_name_their_line(tmp_path, capsys):

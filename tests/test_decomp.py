@@ -228,18 +228,12 @@ def test_heuristic_valid_on_random(rng):
 
 def test_guard_check():
     g = proper_graph(12, seed=3)
-    rep = guard_check(g, 12)
-    assert rep.vertex_bound_ok  # 12 <= 100*12
-    degs = [g.degree(v) for v in g.vertices()]
-    assert rep.n3 == sum(1 for d in degs if d == 3)
-    assert rep.n4 == sum(1 for d in degs if d == 4)
-    rep0 = guard_check(g, 0)
-    assert not rep0.vertex_bound_ok
+    assert guard_check(g, 12)  # 12 <= 100 * 12, and n3 + 2 * n4 <= 48
+    assert not guard_check(g, 0)  # 12 > 100 * 0
     # three disjoint K1,4 stars at k = 1: 15 <= 100 vertices, but n3 + 2 * n4 = 6 > 4
     stars = Graph.from_edges(15, [(5 * s, 5 * s + i) for s in range(3) for i in range(1, 5)])
-    rep1 = guard_check(stars, 1)
-    assert (rep1.n3, rep1.n4) == (0, 3)
-    assert rep1.vertex_bound_ok and not rep1.weight_bound_ok and not rep1.ok
+    assert not guard_check(stars, 1)
+    assert guard_check(complete_graph(4), 1)  # n3 = 4 <= 4
 
 
 def test_is_proper():
@@ -249,6 +243,9 @@ def test_is_proper():
     assert is_proper(proper_graph(10, seed=1))
     small = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     assert not is_proper(small)  # component of 3
+    spider = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)]
+    assert is_proper(Graph.from_edges(6, spider))
+    assert not is_proper(Graph.from_edges(7, spider + [(1, 6)]))  # degree 4 beside degree 3
 
 
 def test_walk_rejects_bad_event_lists():

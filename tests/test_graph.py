@@ -14,8 +14,7 @@ FINDERS = {
     "deg4_in_triangle": graphlib.find_deg4_in_triangle,
     "deg4_adjacent_deg3": graphlib.find_deg4_adjacent_deg3,
     "low_degree_edge": graphlib.low_degree_edges,
-    "degree_two_path": graphlib.find_degree_two_path,
-    "pendant_chain": graphlib.find_pendant_chain,
+    "contractible": graphlib.find_contractible,
     "trivial_components": graphlib.find_trivial_components,
 }
 
@@ -137,6 +136,7 @@ def test_dominates():
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
     assert p3.dominates(1, 0)
     assert not p3.dominates(0, 1)
+    assert not p3.dominates(0, 2)  # not adjacent
     c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert not c4.dominates(0, 1)
 
@@ -189,36 +189,23 @@ def _brute_witness(g, kind):
         )
     if kind == "low_degree_edge":
         return any(deg[u] <= 2 and deg[v] <= 2 for u, v in g.edges())
-    if kind == "degree_two_path":
-        # enumerate all walks without immediate interior repeats
-        def extend(seq):
-            cur = seq[-1]
-            if len(seq) >= 2 and deg[cur] != 2:
-                if len(seq) - 1 >= 4 and deg[seq[0]] != 2 and all(
-                    deg[x] == 2 for x in seq[1:-1]
-                ) and len(set(seq[1:-1])) == len(seq) - 2:
-                    return True
-                return False
-            if len(seq) >= 2 and cur in seq[1:-1]:
-                return False
-            return any(extend(seq + [nxt]) for nxt in g.neighbors(cur) if nxt != (seq[-2] if len(seq) >= 2 else None))
-
-        return any(
-            extend([v0, v1])
-            for v0 in verts
-            if deg[v0] not in (0, 2)
-            for v1 in g.neighbors(v0)
-        )
-    if kind == "pendant_chain":
-        return any(
-            deg[x] == 1
-            and deg[next(iter(g.neighbors(x)))] == 2
-            and deg[next(y for y in g.neighbors(next(iter(g.neighbors(x)))) if y != x)] == 2
-            for x in verts
-        )
+    if kind == "contractible":
+        return bool(_contractible(g))
     if kind == "trivial_components":
         return any(len(c) <= 6 or all(deg[v] == 2 for v in c) for c in g.components())
     raise AssertionError(kind)
+
+
+def _contractible(g):
+    """Every (a, mid, b): degree-2 mid whose neighbors a < b have degree <= 2
+    and are not adjacent."""
+    out = []
+    for mid in g.vertices():
+        if g.degree(mid) == 2:
+            a, b = sorted(g.neighbors(mid))
+            if g.degree(a) <= 2 and g.degree(b) <= 2 and not g.has_edge(a, b):
+                out.append((a, mid, b))
+    return out
 
 
 def _brute_trivial_components(g):
@@ -273,27 +260,11 @@ def _reduction_witnesses(g):
 
     deg = {v: g.degree(v) for v in g.vertices()}
     tris = [t for t in combinations(g.vertices(), 3) if all(g.has_edge(a, b) for a, b in combinations(t, 2))]
-    paths = []
-    for v0 in g.vertices():
-        for v1 in g.neighbors(v0) if deg[v0] != 2 else ():
-            seq = [v0, v1]
-            while deg[seq[-1]] == 2:
-                seq += [x for x in g.neighbors(seq[-1]) if x != seq[-2]]
-            if len(seq) - 1 >= graphlib.DEGREE_TWO_PATH_MIN_EDGES:
-                paths.append(tuple(seq))
-    chains = []
-    for x in g.vertices():
-        if deg[x] == 1:
-            (c1,) = g.neighbors(x)
-            if deg[c1] == 2:
-                (c2,) = g.neighbors(c1) - {x}
-                chains += [(x, c1, c2)] if deg[c2] == 2 else []
     return {
         "low_degree_edge": [(e, e) for e in g.edges() if deg[e[0]] <= 2 and deg[e[1]] <= 2],
         "triangle_single_neighbor": [(t + tuple(g.neighborhood_of(t)), t) for t in tris
                                      if len(g.neighborhood_of(t)) == 1],
-        "degree_two_path": [(p, p) for p in paths],
-        "pendant_chain": [(c, c) for c in chains],
+        "contractible": [(w, w) for w in _contractible(g)],
         "trivial_components": [(c, c) for c in _brute_trivial_components(g)],
     }
 
@@ -319,8 +290,7 @@ def test_reduction_finders_return_the_least_witness_through_scan(rng):
         g = Graph.from_edges(g.size + ring, edges)
         g.remove_vertices(rng.sample(range(n), rng.randint(0, 3)))
         graphs.append(g)
-    kinds = ("low_degree_edge", "triangle_single_neighbor", "degree_two_path", "pendant_chain",
-             "trivial_components")
+    kinds = ("low_degree_edge", "triangle_single_neighbor", "contractible", "trivial_components")
     found = dict.fromkeys(kinds, 0)
     for t, g in enumerate(graphs):
         witnesses = _reduction_witnesses(g)
