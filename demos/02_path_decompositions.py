@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Path decompositions: exact width by a width-bounded layout search, a
-greedy fallback, the introduce/forget event form every DP consumes, and the
-text format."""
+greedy fallback, the hub layout every solve uses, the introduce/forget event
+form every DP consumes, and the text format."""
 
 from copack import (
     PathDecomposition,
@@ -11,7 +11,8 @@ from copack import (
     validate,
     write_decomposition,
 )
-from copack.generators import cycle_graph, grid_graph, path_graph
+from copack.decomp import decomposition_for
+from copack.generators import cycle_graph, grid_graph, path_graph, proper_graph
 
 for name, g in (
     ("P6", path_graph(6)),
@@ -22,6 +23,16 @@ for name, g in (
     greedy = heuristic_pd(g)
     assert validate(g, pd) is None and validate(g, greedy) is None
     print("%-9s pathwidth=%d   greedy width=%d" % (name, width, greedy.width))
+
+# decomposition_for lays a graph out through its hub graph (the vertices of
+# degree >= 3, with each chain of degree-2 vertices between two of them as
+# one edge), then puts each chain back right after the later of its hubs.
+# This 22-vertex proper graph has 5 hubs, laid out exactly
+g = proper_graph(22, 1)
+hub = decomposition_for(g)
+assert validate(g, hub) is None
+print("\nproper_graph(22, 1): pathwidth=%d   greedy width=%d   hub-layout width=%d"
+      % (exact_pathwidth(g)[0], heuristic_pd(g).width, hub.width))
 
 # Every decomposition turns into a sequence of introduce/forget events of the
 # same width. Every DP replays them with walk, which gives each bag vertex a

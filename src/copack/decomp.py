@@ -1,6 +1,16 @@
-"""Path decompositions: validation, nice event form, exact and heuristic width."""
+"""Path decompositions: validation, nice event form, exact and heuristic
+width, and the hub layout that decomposition_for gives every leaf DP.
+
+decomposition_for lays out each component through its hub graph, whose
+vertices are the vertices of degree >= 3 and whose edges are their edges and
+the chains of degree-<=2 vertices between them. The hub graph is small on
+the sparse graphs the solvers leave at their leaves, so it is laid out
+exactly when it has at most EXACT_PATHWIDTH_LIMIT vertices, and the chains
+are put back next to their hubs."""
 
 from __future__ import annotations
+
+import heapq
 
 from .dimacs import check_count, read_lines
 from .errors import GraphFormatError, SizeLimitError
@@ -212,36 +222,148 @@ def _layout_to_decomposition(g: Graph, order: list[int]) -> PathDecomposition:
 
 
 def heuristic_pd(g: Graph) -> PathDecomposition:
-    """Greedy layout-based decomposition; always valid, no width guarantee."""
+    """Greedy layout-based decomposition; always valid, no width guarantee.
+
+    Each step places the vertex whose placing leaves the fewest placed
+    vertices with an unplaced neighbor, the lowest id on ties. Placing a
+    vertex changes that count only within distance 2 of it, so only those
+    vertices are rescored."""
     adj = g._adj
-    remaining = set(g.vertices())
+    unplaced = {v: len(nb) for v, nb in adj.items()}  # v's unplaced neighbors
     placed: set[int] = set()
+
+    def cost(v):
+        # placing v joins v to the boundary if it has an unplaced neighbor,
+        # and drops each placed neighbor whose last one it is
+        return (unplaced[v] > 0) - sum(1 for u in adj[v] if unplaced[u] == 1 and u in placed)
+
+    costs = {v: cost(v) for v in adj}
+    heap = [(c, v) for v, c in costs.items()]
+    heapq.heapify(heap)
     order = []
-    boundary = 0  # how many placed vertices have an unplaced neighbor
-    unplaced = {v: len(adj[v]) for v in remaining}  # v's unplaced neighbors
-    while remaining:
-        best_v, best_cost = None, None
-        for v in sorted(remaining):
-            # placing v joins v to the boundary if it has an unplaced
-            # neighbor, and drops each placed neighbor whose last one it is
-            cost = boundary + (unplaced[v] > 0) - sum(1 for u in adj[v] if unplaced[u] == 1 and u in placed)
-            if best_cost is None or cost < best_cost:
-                best_v, best_cost = v, cost
-        order.append(best_v)
-        placed.add(best_v)
-        remaining.discard(best_v)
-        boundary = best_cost
-        for u in adj[best_v]:
+    while heap:
+        c, v = heapq.heappop(heap)
+        if v in placed or costs[v] != c:
+            continue  # an entry left behind by a later rescore
+        order.append(v)
+        placed.add(v)
+        near = set(adj[v])
+        for u in adj[v]:
             unplaced[u] -= 1
+            near |= adj[u]
+        for w in near - placed:
+            c = cost(w)
+            if c != costs[w]:
+                costs[w] = c
+                heapq.heappush(heap, (c, w))
     return _layout_to_decomposition(g, order)
 
 
+# ----------------------------------------------------------- hub layout
+#
+# A hub is a vertex of degree >= 3; a chain is a maximal run of vertices of
+# degree <= 2. The hub graph keeps the hub-to-hub edges and gets one edge per
+# chain joining two different hubs: a minor of the graph, so its pathwidth is
+# no larger. Laying each chain out right after the later of its hubs keeps
+# every bag at the hubs' bag there plus two chain vertices, so the layout is
+# at most two wider than the hub graph's.
+
+
+def _chain(adj, a: int, c: int):
+    """(the chain from hub a's neighbor c, in walk order, and the hub it ends
+    at, or None at a degree-1 end)."""
+    chain, prev = [c], a
+    while len(adj[c]) == 2:
+        (nxt,) = adj[c] - {prev}
+        if len(adj[nxt]) >= 3:
+            return chain, nxt
+        chain.append(nxt)
+        prev, c = c, nxt
+    return chain, None
+
+
+def _hub_layout(h: Graph) -> list[int]:
+    """Vertex layout of a connected graph: its hubs in the order of their
+    first bag in the hub graph's decomposition (exact up to
+    EXACT_PATHWIDTH_LIMIT hubs, greedy above), each followed by its chains
+    to earlier hubs and then by its pendant chains and the cycles hanging
+    off it alone. A graph without a hub, a path or a cycle, is laid out in
+    walk order from an end or its least vertex."""
+    adj = h._adj
+    hubs = [v for v in adj if len(adj[v]) >= 3]
+    if not hubs:
+        order = [min((v for v in adj if len(adj[v]) < 2), default=min(adj))]
+        while True:
+            nxt = adj[order[-1]].difference(order[-2:])
+            if not nxt or nxt == {order[0]}:
+                return order
+            order.append(min(nxt))
+    hub_set = set(hubs)
+    hub_graph = Graph.__new__(Graph)
+    hub_graph.size = h.size
+    hub_graph._adj = {v: adj[v] & hub_set for v in hubs}
+    chains = []  # (one end hub, the other, the chain walked from the first)
+    walked: set[int] = set()
+    for a in hubs:
+        for c in sorted(adj[a] - hub_set):
+            if c in walked:
+                continue  # walked from its other end
+            chain, b = _chain(adj, a, c)
+            walked.update(chain)
+            b = a if b is None else b
+            if b != a:
+                hub_graph._adj[a].add(b)
+                hub_graph._adj[b].add(a)
+            chains.append((a, b, chain))
+    pd = exact_pathwidth(hub_graph)[1] if len(hubs) <= EXACT_PATHWIDTH_LIMIT else heuristic_pd(hub_graph)
+    first: dict[int, int] = {}
+    for i, bag in enumerate(pd.bags):
+        for v in bag:
+            first.setdefault(v, i)
+    hubs.sort(key=first.__getitem__)
+    pos = {v: i for i, v in enumerate(hubs)}
+    joins: dict[int, list] = {v: [] for v in hubs}  # chains to earlier hubs
+    hanging: dict[int, list] = {v: [] for v in hubs}
+    for a, b, chain in chains:
+        if pos[a] > pos[b]:
+            a, b, chain = b, a, chain[::-1]
+        (hanging if a == b else joins)[b].append((a, chain))
+    left = {v: len(nb) for v, nb in adj.items()}  # v's neighbors not yet laid out
+    order = []
+
+    def place(vs):
+        for v in vs:
+            order.append(v)
+            for u in adj[v]:
+                left[u] -= 1
+
+    for b in hubs:
+        place([b])
+        todo = sorted(joins[b], key=lambda t: -pos[t[0]])
+        while todo:
+            # a chain that is its earlier hub's last neighbor goes first, so
+            # that hub leaves the boundary at once; the last chain may be
+            # b's, and is then walked from b's end
+            a, chain = todo.pop(next((i for i, (a, _) in enumerate(todo) if left[a] == 1), 0))
+            place(chain if left[a] == 1 or left[b] != 1 else chain[::-1])
+        for _, chain in hanging[b]:
+            place(chain)
+    return order
+
+
 def decomposition_for(g: Graph) -> PathDecomposition:
-    """Best decomposition we can afford: each component exact up to
-    EXACT_PATHWIDTH_LIMIT vertices and greedy above, the bags concatenated."""
+    """Each component's bags from its hub layout, concatenated: at most two
+    wider than optimal when the hub graph gets the exact layout, as every
+    component of up to EXACT_PATHWIDTH_LIMIT vertices does. Above that size
+    the greedy decomposition of the whole component is kept instead when it
+    is no wider, so no large component gets wider than the greedy makes it."""
     bags: list[frozenset] = []
     for h in g.copy().split():
-        pd = exact_pathwidth(h)[1] if h.alive_count <= EXACT_PATHWIDTH_LIMIT else heuristic_pd(h)
+        pd = _layout_to_decomposition(h, _hub_layout(h))
+        if h.alive_count > EXACT_PATHWIDTH_LIMIT:
+            greedy = heuristic_pd(h)
+            if greedy.width <= pd.width:
+                pd = greedy
         bags += pd.bags
     return PathDecomposition(bags)
 

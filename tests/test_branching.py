@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from copack import branching, cutcount, graph as graphlib
+from copack import branching, cutcount, decomp, graph as graphlib
 from copack.branching import (
     _REDUCTIONS,
     Instance,
@@ -24,7 +24,7 @@ from copack.errors import InternalSolverError
 from copack.generators import complete_graph, cycle_graph, gnm_graph, path_graph, planted_graph
 from copack.graph import Graph, find_contractible, find_triangle_single_neighbor, low_degree_edges
 from copack.oracles import min_deletion_set, oracle_min, verify
-from conftest import all_graphs, random_graph
+from conftest import all_graphs, exact_decomposition_for, random_graph
 
 
 def inst_of(g, k):
@@ -540,6 +540,9 @@ def test_cpp_leaves_draw_consecutive_seeds(monkeypatch):
     refutes draws no seed."""
     from copack.generators import proper_graph
 
+    # which cycles the deletion DP's witness leaves depends on the
+    # decomposition; these counts are pinned on the exact one
+    monkeypatch.setattr(decomp, "decomposition_for", exact_decomposition_for)
     # proper graphs the search hands to a leaf whole: a's cpp minimum is
     # above its cpcp minimum, b's equals it
     a, b = proper_graph(13, 66), proper_graph(12, 9)

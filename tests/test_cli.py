@@ -5,7 +5,7 @@ from copack.decomp import parse_decomposition
 from copack.dimacs import parse_graph, write_graph
 from copack.errors import GraphFormatError
 from copack.generators import gnm_graph
-from conftest import random_graph
+from conftest import exact_decomposition_for, random_graph
 
 
 def test_parse_graph_examples():
@@ -448,10 +448,13 @@ def test_cpp_fail_bound_sums_every_leaf_decision(tmp_path, monkeypatch):
     cycle: the exact search makes cut & count decisions in both, counted in
     cc_calls, and the bound is taken over every one of them. A record with
     no cut & count decision prints a bound of 0."""
-    from copack import cutcount
+    from copack import cutcount, decomp
     from copack.generators import proper_graph
     from copack.graph import Graph
 
+    # which cycles the deletion DP's witness leaves depends on the
+    # decomposition; these counts are pinned on the exact one
+    monkeypatch.setattr(decomp, "decomposition_for", exact_decomposition_for)
     a, b = proper_graph(13, 66), proper_graph(12, 9)
     edges = a.edges() + [(u + a.size, v + a.size) for u, v in b.edges()]
     f = tmp_path / "g.gr"

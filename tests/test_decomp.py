@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from copack.bdd import bdd_dp_solve
 from copack.decomp import (
     EXACT_PATHWIDTH_LIMIT,
     NiceEventSequence,
@@ -20,9 +21,9 @@ from copack.decomp import (
     write_decomposition,
 )
 from copack.errors import GraphFormatError, SizeLimitError
-from copack.generators import cycle_graph, grid_graph, path_graph, complete_graph, proper_graph
+from copack.generators import complete_graph, cycle_graph, gnm_graph, grid_graph, path_graph, planted_graph, proper_graph
 from copack.graph import Graph
-from conftest import all_graphs, layout_decomposition, random_graph
+from conftest import all_graphs, exact_decomposition_for, layout_decomposition, plain_heuristic_pd, random_graph
 
 
 def test_validate_examples():
@@ -185,20 +186,106 @@ def test_exact_pathwidth_on_proper_graphs():
             assert w <= heuristic_pd(g).width
 
 
-def test_decomposition_for_is_exact_per_component():
-    # unions too large for one exact search; each component gets its own
-    for sizes in ((14, 16, 18), (20, 20), (6, 9, 22, 12)):
-        for seed in range(3):
-            parts = [proper_graph(n, seed + i) for i, n in enumerate(sizes)]
-            edges, offset = [], 0
-            for h in parts:
-                edges += [(u + offset, v + offset) for u, v in h.edges()]
-                offset += h.size
-            g = Graph.from_edges(offset, edges)
-            assert g.alive_count > EXACT_PATHWIDTH_LIMIT
+def _union(parts):
+    edges, offset = [], 0
+    for h in parts:
+        edges += [(u + offset, v + offset) for u, v in h.edges()]
+        offset += h.size
+    return Graph.from_edges(offset, edges)
+
+
+def _small_graphs(count):
+    """count seeded proper and gnm graphs of 5-22 vertices, half of each."""
+    for t in range(count // 2):
+        yield proper_graph(8 + t % 15, t // 15)
+        rng = random.Random(t + 4100)
+        n = rng.randint(5, 16)
+        yield gnm_graph(n, rng.randint(0, min(n * (n - 1) // 2, 2 * n)), t + 4100)
+
+
+def test_decomposition_for_is_near_exact_on_small_components():
+    # the hub layout of a component of at most EXACT_PATHWIDTH_LIMIT
+    # vertices is at most two wider than its pathwidth
+    for g in _small_graphs(300):
+        assert validate(g, decomposition_for(g)) is None
+        for h in g.copy().split():
+            assert decomposition_for(h).width <= exact_pathwidth(h)[0] + 2, h.edges()
+
+
+def test_decomposition_for_is_no_wider_than_greedy_past_the_limit():
+    graphs = [grid_graph(r, c) for r, c in ((5, 5), (6, 10), (7, 10))]
+    graphs += [proper_graph(n, s) for n in range(23, 80, 7) for s in range(3)]
+    graphs += [gnm_graph(n, 2 * n, n) for n in (30, 45, 60)]
+    for sizes in ((14, 16, 18), (20, 20), (6, 9, 22, 12), (30, 40)):
+        graphs.append(_union([proper_graph(n, i) for i, n in enumerate(sizes)]))
+    for g in graphs:
+        pd = decomposition_for(g)
+        assert validate(g, pd) is None
+        widths = [decomposition_for(h).width for h in g.copy().split()]
+        assert pd.width == max(widths)
+        for h, w in zip(g.copy().split(), widths):
+            if h.alive_count > EXACT_PATHWIDTH_LIMIT:
+                assert w <= heuristic_pd(h).width, h.edges()
+
+
+def test_decomposition_width_bound_on_proper_graphs():
+    # Fomin & Hoie: the pathwidth of a graph with ni vertices of degree i is
+    # at most n3/6 + n4/3 + o(n). The constant 11/3 is the largest excess
+    # measured over these 136 graphs (proper_graph(40, 6): width 6, n3/6 +
+    # n4/3 = 7/3), compared here in integers
+    for n in range(40, 201, 10):
+        for s in range(8):
+            g = proper_graph(n, s)
             pd = decomposition_for(g)
             assert validate(g, pd) is None
-            assert pd.width == max(exact_pathwidth(h)[0] for h in parts), (sizes, seed)
+            deg = [len(g.neighbors(v)) for v in g.vertices()]
+            assert 6 * pd.width <= deg.count(3) + 2 * deg.count(4) + 22, (n, s, pd.width)
+
+
+def _chained(n_hubs, chains, extra_edges=()):
+    """Hubs 0..n_hubs-1, joined by each chain (a, b, length): length new
+    vertices from hub a to hub b, a pendant chain when b is None and a cycle
+    through a alone when b == a."""
+    edges, n = list(extra_edges), n_hubs
+    for a, b, length in chains:
+        run = [a] + list(range(n, n + length)) + ([] if b is None else [b])
+        edges += list(zip(run, run[1:]))
+        n += length
+    return Graph.from_edges(n, edges)
+
+
+def test_hub_layout_shapes():
+    shapes = [
+        # two hubs: chains of 1-5 vertices between them, beside a direct edge
+        _chained(2, [(0, 1, m) for m in range(1, 6)], [(0, 1)]),
+        # several chains between the same two hubs, and a third hub
+        _chained(3, [(0, 1, 1), (0, 1, 2), (0, 1, 3), (1, 2, 1), (2, 0, 4), (1, 2, 5)]),
+        # K4 of hubs with one chain per edge
+        _chained(4, [(a, b, 1 + (a + b) % 3) for a in range(4) for b in range(a + 1, 4)]),
+        # pendant chains and a cycle hanging off one hub
+        _chained(1, [(0, None, 1), (0, None, 3), (0, 0, 4)]),
+        _chained(2, [(0, 1, 2), (0, 1, 1), (0, 1, 3), (0, None, 2), (1, 1, 3), (1, 0, 1)]),
+        _chained(3, [(0, 0, 2), (0, 0, 5), (1, 1, 2), (2, None, 4)], [(0, 1), (1, 2)]),
+    ]
+    for g in shapes:
+        pd = decomposition_for(g)
+        assert validate(g, pd) is None, g.edges()
+        assert pd.width <= exact_pathwidth(g)[0] + 2, g.edges()
+    # components without a hub are walked, at their pathwidth
+    for g, width in ((path_graph(7), 1), (cycle_graph(3), 2), (cycle_graph(9), 2), (Graph(1), 0), (Graph(0), -1),
+                     (_union([cycle_graph(5), path_graph(1), path_graph(2), Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)])]), 2)):
+        pd = decomposition_for(g)
+        assert validate(g, pd) is None and pd.width == width, g.edges()
+        assert len(pd.bags) == g.alive_count
+
+
+def test_hub_layout_keeps_deletion_minima():
+    # the deletion DP's minimum does not depend on the decomposition
+    for g in _small_graphs(200):
+        events = to_nice(decomposition_for(g))
+        exact = to_nice(exact_decomposition_for(g))
+        for d in range(4):
+            assert bdd_dp_solve(g, events, d)[0] == bdd_dp_solve(g, exact, d)[0], (g.edges(), d)
 
 
 def test_exact_pathwidth_limit():
@@ -224,6 +311,15 @@ def test_heuristic_valid_on_random(rng):
     for t in range(40):
         g = random_graph(t + 700, n_lo=1, n_hi=9)
         assert validate(g, heuristic_pd(g)) is None
+
+
+def test_heuristic_matches_the_plain_loop():
+    # rescoring only near each placed vertex picks what scoring all would
+    graphs = [random_graph(t + 4300, n_lo=1, n_hi=14) for t in range(60)]
+    graphs += [gnm_graph(40, 80, t) for t in range(30)]
+    graphs += [grid_graph(7, 10), proper_graph(200, 1), planted_graph(400, 40, 1)]
+    for g in graphs:
+        assert heuristic_pd(g).bags == plain_heuristic_pd(g).bags, g.edges()
 
 
 def test_guard_check():
