@@ -6,12 +6,13 @@ time, refutes any whose claw packing exceeds its budget, fires the first
 applicable branching step on each, whose children are the vertex sets they
 delete, and hands proper components to the deletion DP, and those cpp
 components whose DP witness leaves a cycle on to cut & count. Besides
-deleting trivial components, cpcp reduces with two local rules and cpp with
-one, the contraction of a degree-2 vertex whose neighbors both have degree
-<= 2; at either fixpoint every degree-2 vertex has a neighbor of degree
->= 3, as a proper graph needs. Cases the earlier fixpoints provably rule out
-raise InternalSolverError: a silent fallback there would mask a broken
-reduction, not recover from one.
+deleting trivial components, cpcp reduces with three local rules and cpp with
+two: the contraction of a degree-2 vertex whose neighbors both have degree
+<= 2, and for both the deletion of each degree->=5 vertex that can be
+swapped for the neighbors a solution takes. At either fixpoint every
+degree-2 vertex has a neighbor of degree >= 3, as a proper graph needs.
+Cases the earlier fixpoints provably rule out raise InternalSolverError: a
+silent fallback there would mask a broken reduction, not recover from one.
 """
 
 from __future__ import annotations
@@ -122,6 +123,11 @@ def _delete(inst: Instance, removed, deleted):
     return 1, changed
 
 
+def _delete_each(inst: Instance, xs):
+    """Delete each vertex of xs into the solution, one reduction apiece."""
+    return len(xs), _delete(inst, xs, xs)[1]
+
+
 def _smooth(inst: Instance, path):
     """Replace the path a - mid - b by the edge a - b."""
     a, mid, b = path
@@ -138,7 +144,9 @@ def _remove_edges(inst: Instance, edges):
 
 
 # Local reduction rules per problem, in firing order: (finder, action on the
-# instance given the finder's witness).
+# instance given the finder's witness). Both end with the swap rule, which
+# deletes only vertices of degree >= 5, so it pre-empts only step 1: steps
+# 2-5 and the proper leaves meet no shape they did not meet without it.
 _REDUCTIONS = {
     "cpcp": (
         # drop every edge joining two degree-<=2 vertices: removing one only
@@ -148,6 +156,9 @@ _REDUCTIONS = {
         # a triangle with a single outside neighbor x: delete x, and the
         # triangle itself then costs nothing
         (graphlib.find_triangle_single_neighbor, lambda inst, tri: _delete(inst, tri, tri[3:])),
+        # delete every degree->=5 vertex whose deletion can stand in for that
+        # of the neighbors a solution takes; see swappable_vertices
+        (lambda g, scan=None: graphlib.swappable_vertices(g, 3, scan), _delete_each),
     ),
     "cpp": (
         # contract a degree-2 vertex whose neighbors a, b have degree <= 2 and
@@ -155,6 +166,9 @@ _REDUCTIONS = {
         # graph leaves paths in this one too, so witnesses lift as they are,
         # and one of this graph that takes mid can take a instead
         (graphlib.find_contractible, _smooth),
+        # as for cpcp, with neighbors of degree <= 2 only, so each one put
+        # back is a leaf and closes no cycle
+        (lambda g, scan=None: graphlib.swappable_vertices(g, 2, scan), _delete_each),
     ),
 }
 

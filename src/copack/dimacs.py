@@ -66,6 +66,7 @@ def parse_graph(text: str) -> Graph:
             "line %d: header declares %d vertices, the limit is %d" % (header_ln, n, MAX_VERTICES)
         )
     g = Graph(n)
+    adj = g._adj  # the checks below are add_edge's, so write the sets directly
     for ln, _, vs in lines:
         if len(vs) != 2:
             raise GraphFormatError("expected 'e <u> <v>'", ln)
@@ -74,9 +75,11 @@ def parse_graph(text: str) -> Graph:
             raise GraphFormatError("vertex out of range 1..%d" % n, ln)
         if u == v:
             raise GraphFormatError("self-loop at vertex %d" % u, ln)
-        if g.has_edge(u - 1, v - 1):
+        nu = adj[u - 1]
+        if v - 1 in nu:
             raise GraphFormatError("duplicate edge (%d, %d)" % (u, v), ln)
-        g.add_edge(u - 1, v - 1)
+        nu.add(v - 1)
+        adj[v - 1].add(u - 1)
     check_count(header_ln, "edges", m, g.edge_count)
     return g
 

@@ -199,13 +199,13 @@ class Graph:
 
 # -------------------------------------------------------- structure search
 #
-# Every finder returns its least witness in id order (`low_degree_edges` and
-# `find_trivial_components`: all of them, in that order), so every caller is
-# reproducible run-to-run. The reduction finders take `scan`, the vertices to
-# look from (None for all): each witness holds a vertex whose neighbor set
-# decides it, so after a finder comes up empty only witnesses through a
-# vertex whose neighbor set changed since can appear, and a scan of those
-# vertices returns what a scan of all would.
+# Every finder returns its least witness in id order (`low_degree_edges`,
+# `swappable_vertices` and `find_trivial_components`: all of them, in that
+# order), so every caller is reproducible run-to-run. The reduction finders
+# take `scan`, the vertices to look from (None for all): each witness holds a
+# vertex whose neighbor set decides it, so after a finder comes up empty only
+# witnesses through a vertex whose neighbor set changed since can appear, and
+# a scan of those vertices returns what a scan of all would.
 
 
 def find_degree_ge5(g: Graph):
@@ -317,6 +317,56 @@ def find_contractible(g: Graph, scan=None):
                     if best is None or (a, mid, b) < best:
                         best = (a, mid, b)
     return best
+
+
+def swappable_vertices(g: Graph, t: int, scan=None):
+    """Every vertex x of degree >= 5 with at most deg(x) - 3 unsafe
+    neighbors, in id order, or None if there is none. A neighbor u of x is
+    safe when deg(u) <= t and each neighbor of u but x has degree <= 2 or is
+    a neighbor of x of degree <= 3; t is 3 for co-path/cycle packing and 2
+    for co-path packing. A deletion set without x keeps at most 2 neighbors
+    of x, so it takes a safe one, and trading its safe neighbors of x for x
+    leaves every degree <= 2 and puts back only vertices of degree <= t - 1.
+
+    x's test reads N(x), N(u) for u in N(x) and the degrees of both, and a
+    neighbor of degree above t is unsafe whatever surrounds it. So a change
+    at c reaches the test only if c is x, a neighbor of x, or beside a
+    neighbor of x of degree <= t: the candidates from a scan are the
+    degree->=5 vertices in it, among its neighbors, and among the neighbors
+    of those neighbors of degree <= t."""
+    adj = g._adj
+    if scan is None:
+        cands = [x for x, nx in adj.items() if len(nx) >= 5]
+    else:
+        cands = set()
+        for c in scan:
+            nc = adj.get(c)
+            if nc is None:
+                continue
+            if len(nc) >= 5:
+                cands.add(c)
+            for u in nc:
+                nu = adj[u]
+                if len(nu) >= 5:
+                    cands.add(u)
+                elif len(nu) <= t:
+                    for x in nu:
+                        if len(adj[x]) >= 5:
+                            cands.add(x)
+    found = []
+    for x in cands:
+        nx = adj[x]
+        d = len(nx)
+        unsafe = 0
+        for u in nx:
+            nu = adj[u]
+            if len(nu) > t or any(w != x and len(adj[w]) > (3 if w in nx else 2) for w in nu):
+                unsafe += 1
+                if unsafe > d - 3:
+                    break
+        else:
+            found.append(x)
+    return sorted(found) or None
 
 
 def find_trivial_components(g: Graph, scan=None):

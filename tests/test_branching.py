@@ -22,9 +22,15 @@ from copack.branching import (
 )
 from copack.errors import InternalSolverError
 from copack.generators import complete_graph, cycle_graph, gnm_graph, path_graph, planted_graph
-from copack.graph import Graph, find_contractible, find_triangle_single_neighbor, low_degree_edges
-from copack.oracles import min_deletion_set, oracle_min, verify
-from conftest import all_graphs, exact_decomposition_for, random_graph
+from copack.graph import (
+    Graph,
+    find_contractible,
+    find_triangle_single_neighbor,
+    low_degree_edges,
+    swappable_vertices,
+)
+from copack.oracles import min_deletion_set, oracle_min, oracle_witness, verify
+from conftest import all_graphs, exact_decomposition_for, random_graph, shuffled
 
 
 def inst_of(g, k):
@@ -160,6 +166,77 @@ def test_rule_soundness_single_applications(rng):
                     if verify(g2, set(cut), "cpp"):
                         assert size == mn and verify(g, set(cut), "cpp"), (t, cut, g.edges())
     assert all(v >= 40 for v in checked.values()), checked
+
+
+def hub_and_spoke(n, rng):
+    """1-3 hubs, every other vertex a spoke of one of them, hubs joined at
+    random, and up to n / 2 random extra edges, under shuffled ids."""
+    hubs = rng.randint(1, 3)
+    edges = {(rng.randrange(hubs), v) for v in range(hubs, n)}
+    edges |= {pair for pair in combinations(range(hubs), 2) if rng.random() < 0.5}
+    for _ in range(rng.randint(0, n // 2)):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return shuffled(Graph.from_edges(n, sorted(edges)), rng.randrange(1 << 30))
+
+
+def test_swap_rule_keeps_oracle_minima(monkeypatch):
+    """The swap rule keeps every minimum: on 400 seeded hub-and-spoke and
+    gnm graphs of 6-13 vertices, the exact search's minimum is the oracle's
+    for both problems, its witness verifies, and decisions at the minimum
+    and one below agree, while the rule fires at least 100 times per
+    problem."""
+    fired = {"cpcp": 0, "cpp": 0}
+    problem = None
+
+    def counted(g, t, scan=None):
+        found = swappable_vertices(g, t, scan)
+        fired[problem] += found is not None
+        return found
+
+    monkeypatch.setattr(graphlib, "swappable_vertices", counted)
+    rng = random.Random(2525)
+    for t in range(400):
+        n = rng.randint(6, 13)
+        g = hub_and_spoke(n, rng) if t % 2 else gnm_graph(n, rng.randint(n, min(3 * n, n * (n - 1) // 2)), t)
+        for problem, solve in (("cpcp", solve_cpcp), ("cpp", solve_cpp)):
+            mn = len(oracle_witness(g, problem))
+            out = solve(g, g.alive_count, exact=True)
+            assert out.size == mn, (t, problem, g.edges())
+            assert out.witness is None or verify(g, out.witness, problem), (t, problem)
+            assert solve(g, mn).answer and not solve(g, mn - 1).answer, (t, problem, g.edges())
+    assert min(fired.values()) >= 100, fired
+
+
+def test_swap_rule_shapes():
+    """Where the swap rule fires, through the finder and the search:
+    - three centres in a path, four pendant leaves each: every centre,
+      the middle one with two centre neighbours among its six;
+    - a degree-5 vertex with three neighbours of degree 4, each the centre
+      of a claw of its own: neither problem, since the minimum, 3, keeps it;
+    - a degree-5 vertex whose neighbours have degree 3 and only leaves
+      beyond them: cpcp only;
+    - a degree-5 vertex with two leaves and three neighbours that each
+      close a triangle with two degree-2 vertices: cpcp only, as putting
+      such a neighbour back would close a cycle for cpp."""
+    chain = Graph.from_edges(15, [(0, 5), (0, 10)] + [(c, c + i) for c in (0, 5, 10) for i in range(1, 5)])
+    claws = Graph.from_edges(15, [(0, u) for u in range(1, 6)]
+                             + [(u, 3 + 3 * u + j) for u in (1, 2, 3) for j in range(3)])
+    spider = Graph.from_edges(16, [(0, u) for u in range(1, 6)]
+                              + [(u, 4 + 2 * u + j) for u in range(1, 6) for j in range(2)])
+    triangles = Graph.from_edges(12, [(0, u) for u in range(1, 6)] + [
+        e for u, a, b in ((1, 6, 7), (2, 8, 9), (3, 10, 11)) for e in ((u, a), (u, b), (a, b))])
+    # (graph, what fires for cpcp and for cpp, minimum for cpcp and for cpp)
+    cases = [(chain, [0, 5, 10], [0, 5, 10], 3, 3), (claws, None, None, 3, 3),
+             (spider, [0], None, 1, 1), (triangles, [0], None, 1, 3)]
+    assert oracle_min(triangles, "cpp") == 3
+    for g, *fires, mn_cpcp, mn_cpp in cases:
+        assert [swappable_vertices(g, 3), swappable_vertices(g, 2)] == fires, g.edges()
+        assert solve_cpcp(g, g.alive_count, exact=True).size == mn_cpcp, g.edges()
+        assert solve_cpp(g, g.alive_count, exact=True).size == mn_cpp, g.edges()
+    for reduce in (reduce_cpcp, reduce_cpp):
+        inst = inst_of(chain, 15)
+        reduce(inst)
+        assert inst.deleted == {0, 5, 10} and inst.graph.alive_count == 0, reduce.__name__
 
 
 def test_reduce_cpp_examples():
