@@ -18,7 +18,7 @@ from .branching import SolveStats, least_cpp_budget, solve_cpcp, solve_cpp
 from .decomp import Violation, decomposition_for, parse_decomposition, to_nice, validate
 from .dimacs import parse_graph, write_graph
 from .errors import InternalSolverError
-from .graph import Graph
+from .graph import Graph, low_degree_edges
 from .oracles import branching_factor, oracle_witness, problem_bounds, verify
 
 EXIT_YES = 0
@@ -49,13 +49,14 @@ class RunConfig:
             raise ValueError("need exactly one of -k and --optimize")
         if self.k is not None and self.k < 0:
             raise ValueError("k must be >= 0")
-        if self.decomposition and not self.whole_dp:
+        if self.decomposition and not (self.mode == "dp" or (self.problem == "bdd" and self.mode == "auto")):
             raise ValueError("--decomposition needs --mode dp, or bdd outside oracle mode")
 
     @property
     def whole_dp(self) -> bool:
-        """Whether the route runs the leaf DP on one decomposition of the whole graph."""
-        return self.mode == "dp" or (self.problem == "bdd" and self.mode != "oracle")
+        """Whether the route runs the leaf DP on one decomposition of the
+        whole graph: --mode dp, and bdd given --decomposition."""
+        return self.mode == "dp" or (self.problem == "bdd" and self.decomposition is not None)
 
 
 # Step recurrences: decrement multisets whose largest roots the analysis
@@ -109,11 +110,33 @@ def _events_for(g: Graph, cfg: RunConfig):
     return to_nice(pd)
 
 
+def _bdd_leaves(g: Graph, d: int, stats: SolveStats) -> tuple[int, set[int]]:
+    """(minimum, witness) of bdd from one deletion DP per leaf: drop every
+    edge whose ends both have degree <= d, then solve each component left
+    with a vertex of degree > d. Such an edge can push no degree past d, and
+    a vertex of degree > d keeps all its edges, so every deletion set keeps
+    its verdict and the leaves' minima add up."""
+    h = g.copy()
+    for u, v in low_degree_edges(h, d=d) or ():
+        h.remove_edge(u, v)
+    mn, wit = 0, set()
+    for leaf in h.split():
+        if not leaf.max_degree_at_most(d):
+            events = to_nice(decomposition_for(leaf))
+            stats.dp_calls += 1
+            stats.width = max(stats.width, events.width)
+            size, part = bdd_dp_solve(leaf, events, d)
+            mn += size
+            wit |= part
+    return mn, wit
+
+
 def _solve_decision(g: Graph, cfg: RunConfig):
     """The one solve of a run, at budget -k or, exact under --optimize, at
     the vertex count: (answer, witness or None, the minimum or None, its
     SolveStats). On a whole-graph route the deletion DP runs on the graph's
-    decomposition. A witness must verify, or the solver is at fault."""
+    decomposition; bdd in auto mode runs it on the leaves `_bdd_leaves`
+    splits off. A witness must verify, or the solver is at fault."""
     k = g.alive_count if cfg.optimize else cfg.k
     stats = SolveStats()
     if cfg.mode == "oracle":
@@ -130,6 +153,8 @@ def _solve_decision(g: Graph, cfg: RunConfig):
             found = least_cpp_budget(g, mn if cfg.optimize else max(mn, k), k, events,
                                      cfg.repeats, cfg.seed, stats)
             return found is not None, None, (found if cfg.optimize else None), stats
+    elif cfg.problem == "bdd":
+        mn, wit = _bdd_leaves(g, cfg.d, stats)
     else:
         if cfg.problem == "cpp":
             out = solve_cpp(g, k, cfg.repeats, cfg.seed, cfg.optimize)

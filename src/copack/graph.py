@@ -283,16 +283,16 @@ def find_deg4_adjacent_deg3(g: Graph):
     return None
 
 
-def low_degree_edges(g: Graph, scan=None):
-    """Every edge whose endpoints both have degree <= 2 and one is in scan,
+def low_degree_edges(g: Graph, scan=None, d: int = 2):
+    """Every edge whose endpoints both have degree <= d and one is in scan,
     in id order, or None if there is none."""
     adj = g._adj
     found = set()
     for u in adj if scan is None else scan:
         nu = adj.get(u)
-        if nu is not None and len(nu) <= 2:
+        if nu is not None and len(nu) <= d:
             for v in nu:
-                if len(adj[v]) <= 2:
+                if len(adj[v]) <= d:
                     found.add((u, v) if u < v else (v, u))
     return sorted(found) or None
 

@@ -1,6 +1,7 @@
-"""The deletion DP without dominance pruning: every reachable bag labelling
-stays in the table. It is the reference that `copack.bdd.bdd_dp_solve`'s
-pruned tables are checked against past the oracle's reach."""
+"""The deletion DP without dominance pruning or label floors: every
+reachable bag labelling stays in the table, each kept label the exact
+degree so far. It is the reference that `copack.bdd.bdd_dp_solve`'s pruned
+and merged tables are checked against past the oracle's reach."""
 
 from __future__ import annotations
 
@@ -10,8 +11,9 @@ from copack.graph import Graph
 
 def reference_bdd_dp(g: Graph, events: NiceEventSequence, d: int) -> tuple[int, set[int]]:
     """(minimum deletions for max degree <= d, one witness set), with the
-    labels and slot-addressed fields of `copack.bdd` and no entry dropped.
-    Asserts that no two children of an introduce share a key."""
+    slot-addressed fields of `copack.bdd`, exact degree labels and no entry
+    dropped or merged. Asserts that no two children of an introduce share a
+    key."""
     if d < 0:
         raise ValueError("degree bound d must be >= 0")
     w = (d + 1).bit_length()

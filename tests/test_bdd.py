@@ -130,22 +130,61 @@ def banded_graph(seed):
     return g
 
 
+def cubic_graph(n, seed):
+    """A random simple 3-regular graph on n vertices (n even), from seeded
+    stub pairings until one has no loop or repeated edge."""
+    rng = random.Random(seed)
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2])}
+        if len(edges) == 3 * n // 2 and all(a != b for a, b in edges):
+            return Graph.from_edges(n, sorted(edges))
+
+
 def test_pruned_tables_match_the_unpruned_reference():
     """Past the oracle: on greedy, id-order and (up to 22 vertices) exact
-    decompositions, dropping dominated labellings keeps the reference's
-    minimum, and the witness is a deletion set of that size."""
+    decompositions, dropping dominated labellings and merging the degree
+    labels below each floor keep the reference's minimum, and the witness
+    is a deletion set of that size. d = 4 and 5 pack each label into 3
+    bits with floors below d - 1, on every other banded graph; on grids and
+    cubic graphs most vertices reach their floor before their last
+    neighbour arrives."""
     graphs = [banded_graph(t + 8800) for t in range(120)]
     graphs += [proper_graph(n, s) for n in range(15, 31, 3) for s in range(2)]
+    graphs += [grid_graph(r, c) for r, c in ((3, 4), (3, 6), (4, 4), (4, 5), (5, 5))]
+    graphs += [shuffled(grid_graph(4, 5), 4)]
+    graphs += [cubic_graph(n, s) for n in (8, 10, 12, 14, 16) for s in range(2)]
     for t, g in enumerate(graphs):
         decs = [heuristic_pd(g), layout_decomposition(g, g.vertices())]
         if g.alive_count <= 22:
             decs.append(exact_pathwidth(g)[1])
         for pd in decs:
             ev = to_nice(pd)
-            for d in (0, 1, 2, 3):
+            for d in (0, 1, 2, 3, 4, 5) if t % 2 or t >= 120 else (0, 1, 2, 3):
                 size, wit = bdd_dp_solve(g, ev, d)
                 assert size == reference_bdd_dp(g, ev, d)[0], (t, pd.width, d)
                 assert len(wit) == size and verify(g, wit, "bdd", d), (t, pd.width, d)
+
+
+def test_labels_below_a_floor_merge():
+    """The 4-cycle 0-2-1-3 with a pendant 4 on 0, at d = 1, in the layout
+    order 0, 1, 2, 4, 3. Before 3, the last neighbour of both 0 and 1,
+    arrives, each has one neighbour to come, so both floors are d - 1 = 0.
+    Two entries are undominated there: 0 kept at degree 0 and 1 at 0
+    (deleting 2 and 4, cost 2), and 0 kept at degree 1 and 1 at 0 (deleting
+    2, cost 1). Deleting 3 raises every label at its floor to 1, so both
+    entries' deleted children become "0 at 1, 1 at 1, 3 deleted", one entry
+    that keeps the cheaper mask {2, 3}. The minimum is 2, as deleting 0
+    and one of 1, 2, 3 shows and no single deletion leaves degrees <= 1."""
+    g = Graph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3)])
+    ev = to_nice(layout_decomposition(g, [0, 1, 2, 4, 3]))
+    assert ev.events[5:7] == [("forget", 4), ("introduce", 3)]
+    size, wit = bdd_dp_solve(g, ev, 1)
+    assert size == 2 == len(wit) and verify(g, wit, "bdd", 1)
+    for d in (0, 1, 2, 3):
+        size, wit = bdd_dp_solve(g, ev, d)
+        assert size == reference_bdd_dp(g, ev, d)[0] == oracle_min(g, "bdd", d) and verify(g, wit, "bdd", d)
 
 
 def test_bad_events_rejected():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from copack.cli import RunConfig, command_factors, command_gen, command_solve, main
@@ -628,3 +630,76 @@ def test_cli_import_leaves_numpy_out():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def subdivided_graph(core_n, core_m, seed):
+    """gnm(core_n, core_m, seed) with each edge replaced by a path through
+    0 to 2 new vertices: hubs joined by chains of degree-2 vertices."""
+    from copack.graph import Graph
+
+    rng = random.Random(seed)
+    edges, n = [], core_n
+    for u, v in gnm_graph(core_n, core_m, seed).edges():
+        inner = list(range(n, n + rng.randint(0, 2)))
+        n += len(inner)
+        path = [u] + inner + [v]
+        edges += list(zip(path, path[1:]))
+    return Graph.from_edges(n, edges)
+
+
+def theta_graph(chains):
+    """Hubs 0 and 1 joined by one chain of c >= 1 inner vertices for each c in
+    chains."""
+    from copack.graph import Graph
+
+    edges, n = [], 2
+    for c in chains:
+        path = [0] + list(range(n, n + c)) + [1]
+        n += c
+        edges += list(zip(path, path[1:]))
+    return Graph.from_edges(n, edges)
+
+
+def test_bdd_auto_splits_on_low_degree_edges(tmp_path):
+    """bdd in auto mode drops every edge whose ends both have degree <= d
+    and runs one deletion DP per component left with a vertex of degree
+    > d. At d = 0-3 its minimum equals the whole-graph DP's (--mode dp) on
+    gnm, proper, planted, theta and subdivided graphs, and the oracle's up
+    to 14 vertices; past the oracle (20 to 100 vertices) it is checked against
+    --mode dp alone. Every witness verifies on the whole graph. The rule
+    must split graphs: the leaves it adds beyond one per component with a
+    vertex of degree > d number at least 30 within the oracle's reach and
+    120 past it (39 and 151 on these seeds)."""
+    from copack.generators import planted_graph, proper_graph
+    from copack.oracles import oracle_min, verify
+
+    rng = random.Random(2701)
+    f = tmp_path / "g.gr"
+    added = {True: 0, False: 0}  # by whether the oracle checks the graph
+    for t in range(160):
+        small = t < 96
+        n = rng.randint(6, 13) if small else rng.randint(20, 100)
+        kind = t % 4
+        if kind == 0:
+            g = gnm_graph(n, rng.randint(n // 2, 3 * n // 2 if small else n), t)
+        elif kind == 1:
+            g = proper_graph(n, t)
+        elif kind == 2:
+            g = planted_graph(n - n // 6, n // 6, t)
+        elif small:
+            g = theta_graph([rng.randint(2, 3) for _ in range(rng.randint(3, 4))])
+        else:
+            g = subdivided_graph(n // 3, n // 3 + rng.randint(0, 3), t)
+        f.write_text(write_graph(g))
+        for d in (0, 1, 2, 3):
+            auto, code = command_solve(RunConfig(problem="bdd", d=d, optimize=True), str(f))
+            whole, _ = command_solve(RunConfig(problem="bdd", d=d, optimize=True, mode="dp"), str(f))
+            wit = {int(v) for v in auto["witness"].split(",") if v}
+            assert code == 0 and auto["min_size"] == whole["min_size"] == len(wit), (t, d)
+            assert verify(g, wit, "bdd", d), (t, d)
+            if small:
+                assert auto["min_size"] == oracle_min(g, "bdd", d), (t, d)
+            high = sum(1 for c in g.components() if any(g.degree(v) > d for v in c))
+            assert auto["dp_calls"] >= high
+            added[small] += auto["dp_calls"] - high
+    assert added[True] >= 30 and added[False] >= 120, added
