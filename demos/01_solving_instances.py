@@ -26,8 +26,10 @@ print("C7 cpp  with budget 1:", solve_cpp(c7, 1, repeats=10, seed=1).answer)
 
 # The randomized side never answers yes wrongly; a no on a yes-instance
 # happens with probability at most (1/3)^repeats per cut & count decision.
-# Most leaves never get there: the deletion DP's minimum is a floor for
-# co-path packing, and a witness of it that leaves no cycle is a solution.
+# The search seldom gets there: the co-path/cycle minimum is a floor for
+# co-path packing, a witness of it that leaves no cycle is a solution, and
+# otherwise the search branches on a cycle that witness leaves. Only past a
+# cap on those branch nodes does cut & count decide.
 g = gnm_graph(9, 14, seed=4)
 truth = oracle_min(g, "cpp")
 print("\nrandom 9-vertex graph: oracle minimum for cpp =", truth)

@@ -4,13 +4,18 @@ One depth-first branch and bound serves both problems: it runs the
 reductions to a fixpoint at every node, solves the components left one at a
 time, refutes any whose claw packing exceeds its budget, fires the first
 applicable branching step on each, whose children are the vertex sets they
-delete, and hands proper components to the deletion DP, and those cpp
-components whose DP witness leaves a cycle on to cut & count. Besides
-deleting trivial components, cpcp reduces with three local rules and cpp with
-two: the contraction of a degree-2 vertex whose neighbors both have degree
-<= 2, and for both the deletion of each degree->=5 vertex that can be
-swapped for the neighbors a solution takes. At either fixpoint every
-degree-2 vertex has a neighbor of degree >= 3, as a proper graph needs.
+delete, and hands proper components to the deletion DP. Every path packing
+is a path/cycle packing, so for cpp an exact cpcp search of the component
+gives a floor: it refutes the component, settles it when its witness leaves
+no cycle, and otherwise, where no step applies, the component branches on
+the shortest cycle that witness leaves, which every solution must hit. Past
+CYCLE_NODES such nodes a cpp component falls back to the deletion DP and
+cut & count. Besides deleting trivial components, cpcp reduces with three
+local rules and cpp with two: the contraction of a degree-2 vertex whose
+neighbors both have degree <= 2, and for both the deletion of each
+degree->=5 vertex that can be swapped for the neighbors a solution takes.
+At either fixpoint every degree-2 vertex has a neighbor of degree >= 3, as
+a proper graph needs.
 Cases the earlier fixpoints provably rule out raise InternalSolverError: a
 silent fallback there would mask a broken reduction, not recover from one.
 """
@@ -430,6 +435,19 @@ def least_cpp_budget(g: Graph, lo: int, cap: int, events, repeats: int, seed: in
     return None
 
 
+# cycle-branch nodes allowed below one component before its cycle-branch
+# sites fall back to the cut & count leaf
+CYCLE_NODES = 100
+
+
+def _cycles_left(g: Graph, wit) -> list[list[int]]:
+    """The cycles g leaves once the cpcp witness wit is deleted, each as its
+    sorted vertices, shortest first."""
+    h = g.without_vertices(wit)
+    cycles = [comp for comp in h.components() if all(len(h._adj[v]) == 2 for v in comp)]
+    return sorted(cycles, key=len)
+
+
 def _drive(frame):
     """Run a search frame to its return value. A frame is a generator that
     yields the frames it needs solved and is sent back their return values;
@@ -456,12 +474,14 @@ class _Search:
     A frame returns (size, witness) for a deletion set within its cap, or
     None when there is none; in exact mode the size is the minimum. A
     witness is None once a cut & count leaf, which finds none, is in it;
-    only such a leaf can read a minimum too high or miss a yes, with
-    probability at most (1/3)^repeats per cut & count decision.
+    only such a leaf, which cpp reaches past the cycle-branch cap alone,
+    can read a minimum too high or miss a yes, with probability at most
+    (1/3)^repeats per cut & count decision.
     Each connected graph is memoized for the length of the solve, keyed by
     its edges: ids are stable, so equal subgraphs in sibling branches share
     an entry. An entry is its minimum with a witness, or a cap the minimum
-    is known to exceed.
+    is known to exceed. A cpp search owns the cpcp search of its floors,
+    which shares its stats and keeps its own memo for the solve.
     """
 
     def __init__(self, problem: str, stats: SolveStats, repeats: int, seed: int):
@@ -472,13 +492,15 @@ class _Search:
         self.seed = seed
         self.minima: dict[bytes, tuple] = {}  # edge key -> (minimum, witness)
         self.above: dict[bytes, int] = {}  # edge key -> a cap the minimum exceeds
+        # cpp's floor: one exact cpcp search, its memo kept for the solve
+        self.floor = _Search("cpcp", stats, 0, 0) if problem == "cpp" else None
 
     def solve(self, g: Graph, k: int, exact: bool = False):
         """(size, witness) for a deletion set of g of size <= k, the least
         one in exact mode, or None when there is none."""
         return _drive(self.node(Instance(g.copy(), k, set()), exact))
 
-    def node(self, inst: Instance, exact: bool):
+    def node(self, inst: Instance, exact: bool, cycle_nodes=None):
         """Reduce inst in place, which deletes every trivial component, then
         solve the components left smallest first, each capped by the budget
         the others leave. Every component but the last gets its minimum; the
@@ -494,7 +516,7 @@ class _Search:
             # every component left has a vertex of degree >= 3, so each one
             # still to come costs at least 1
             later = len(parts) - 1 - i
-            found = yield self.component(part, left - later, exact or later > 0)
+            found = yield self.component(part, left - later, exact or later > 0, cycle_nodes)
             if found is None:
                 return None
             size += found[0]
@@ -502,11 +524,24 @@ class _Search:
             wit = None if wit is None or found[1] is None else wit | found[1]
         return size, wit
 
-    def component(self, g: Graph, cap: int, exact: bool):
+    def component(self, g: Graph, cap: int, exact: bool, cycle_nodes=None):
         """Solve the connected, reduced graph g within cap. A claw packing
         larger than cap refutes it outright. A branch node runs a child only
         if it can beat the best found so far; a decision stops at its first
-        yes."""
+        yes.
+
+        For cpp an exact cpcp search of g within cap then gives the floor,
+        where no step applies, and where one does only if cpcp's low-degree
+        edge rule finds an edge to drop: without one the cpcp search mostly
+        repeats the steps cpp is about to branch on. A floor above cap
+        refutes g, and one whose witness leaves no cycle is g's cpp minimum.
+        Otherwise the witness with one vertex of each cycle it leaves is an
+        incumbent, and where no step applies g branches on the shortest of
+        those cycles: one child per vertex, each deleting it. Once the
+        subtree of the component where cycle branching began has made
+        CYCLE_NODES such nodes, each further site goes to the cut & count
+        leaf. cycle_nodes is the count that subtree has left, a one-item
+        list it shares, or None above its first cycle branch."""
         if cap < 0:
             return None
         key = g.edge_key()
@@ -519,20 +554,41 @@ class _Search:
             self.above[key] = cap
             return None
         bs = _pick_step(g, self.problem)
+        best, floor = None, -1
+        if self.floor is not None and (bs is None or graphlib.low_degree_edges(g)):
+            found = yield self.floor.node(Instance(g.copy(), cap, set()), True)
+            if found is None:
+                self.above[key] = cap
+                return None
+            floor, wit = found
+            cycles = _cycles_left(g, wit)
+            if not cycles:
+                self.minima[key] = found
+                return found
+            if floor + len(cycles) <= cap:
+                best = floor + len(cycles), wit | {c[0] for c in cycles}
+                if not exact:
+                    return best
+                cap = best[0] - 1
+            if bs is None:
+                if cycle_nodes is None:
+                    cycle_nodes = [CYCLE_NODES]
+                if cycle_nodes[0] > 0:
+                    cycle_nodes[0] -= 1
+                    bs = BranchSet("cycle", [frozenset((v,)) for v in cycles[0]])
         if bs is None:
-            best = self.leaf(g, cap, exact)
+            best = self.leaf(g, cap, exact) or best
         else:
             self.stats.nodes += 1
-            best = None
             for ch in bs.children:
                 if len(ch) > cap:
                     continue
                 child = g.copy()
                 changed = child.remove_vertices(ch)
-                found = yield self.node(Instance(child, cap - len(ch), set(ch), changed), exact)
+                found = yield self.node(Instance(child, cap - len(ch), set(ch), changed), exact, cycle_nodes)
                 if found is not None:
                     best, cap = found, found[0] - 1
-                    if not exact:
+                    if not exact or found[0] == floor:
                         break
         if best is None:
             self.above[key] = cap
@@ -541,11 +597,11 @@ class _Search:
         return best
 
     def leaf(self, g: Graph, cap: int, exact: bool):
-        """A proper graph: past the guard, the deletion DP's minimum. Every
-        path packing is a path/cycle packing, so for cpp that minimum is a
-        floor, and a witness leaving no cycle reaches it. Any other cpp leaf
-        goes to cut & count: at budgets from the floor up in exact mode, or
-        at the cap alone."""
+        """A proper graph: past the guard, the deletion DP's minimum, which
+        answers cpcp. cpp comes here only past the cycle-branch cap: the
+        minimum is a floor, and a witness leaving no cycle reaches it. Any
+        other cpp leaf goes to cut & count: at budgets from the floor up to
+        the cap in exact mode, or at the cap alone."""
         if not decomp.is_proper(g):
             raise InternalSolverError("branching left a non-proper graph: %s" % (g.edges(),))
         if not decomp.guard_check(g, cap):
@@ -557,7 +613,7 @@ class _Search:
         size, wit = bdd_dp_solve(g, events, 2)
         if size > cap:
             return None
-        if self.problem == "cpcp" or g.without_vertices(wit).is_linear_forest():
+        if self.problem == "cpcp" or not _cycles_left(g, wit):
             return size, wit
         k = least_cpp_budget(g, size if exact else cap, cap, events, self.repeats, self.seed, self.stats)
         return None if k is None else (k, None)
@@ -584,7 +640,9 @@ def solve_cpcp(g: Graph, k: int, exact: bool = False) -> SolveOutcome:
 def solve_cpp(g: Graph, k: int, repeats: int = 10, seed: int = 0, exact: bool = False) -> SolveOutcome:
     """Decide whether deleting at most k vertices leaves disjoint paths; on
     yes, return the size found, the minimum if exact, with a verifying
-    deletion set unless a cut & count leaf is in it.
+    deletion set unless a cut & count leaf is in it. Components settle on
+    the cpcp floor or branch on the cycles its witness leaves; only one
+    past the cycle-branch cap reaches a cut & count leaf.
 
     A yes is always correct. A no, or a minimum read too high, comes only
     from a cut & count leaf decision, each of which misses a yes at its

@@ -184,7 +184,8 @@ def command_solve(cfg: RunConfig, path: str):
         record["min_size"] = mn
     if cfg.problem == "cpp" and cfg.mode != "oracle":
         # union bound over every cut & count decision, each of which can miss
-        # a yes with probability <= (1/3)^repeats; the rest is exact
+        # a yes with probability <= (1/3)^repeats; the rest is exact. In auto
+        # mode only leaves past the search's cycle-branch cap decide that way
         record["fail_bound"] = "%.3g" % (stats.cc_calls * (1.0 / 3.0) ** cfg.repeats)
     if witness is not None:
         record["witness"] = ",".join(str(v) for v in sorted(witness))

@@ -30,7 +30,7 @@ from copack.graph import (
     swappable_vertices,
 )
 from copack.oracles import min_deletion_set, oracle_min, oracle_witness, verify
-from conftest import all_graphs, exact_decomposition_for, random_graph, shuffled
+from conftest import all_graphs, exact_decomposition_for, joined_copies, random_graph, shuffled
 
 
 def inst_of(g, k):
@@ -421,8 +421,10 @@ def test_child_reductions_match_full_scans(monkeypatch):
     only the vertices the branch changed reaches the graph, budget, deleted
     set and reduction count of the full-scan loop run on a copy. cpcp and
     cpp, decisions at the minimum and one below, and exact mode, on
-    planted(n, k, s) at n = 20-200, gnm graphs and proper graphs of 20-32
-    vertices with two random chords."""
+    planted(n, k, s) at n = 20-200, gnm graphs, proper graphs of 20-32
+    vertices with two random chords, and gnm graphs of 2n-3n edges: on the
+    sparser graphs the cpcp floor settles most cpp components before they
+    branch, and on the denser ones the paper's steps branch first."""
     from copack.generators import proper_graph
 
     checked = dict.fromkeys(("cpcp", "cpp"), 0)
@@ -450,6 +452,7 @@ def test_child_reductions_match_full_scans(monkeypatch):
         while len(edges) < chords:
             edges.add(tuple(sorted(rng.sample(range(n), 2))))
         graphs.append(Graph.from_edges(n, sorted(edges)))
+    graphs += [gnm_graph(n, rng.randint(2 * n, 3 * n), s) for s, n in enumerate(range(14, 22, 2))]
     solvers = (lambda g, k, exact=False: solve_cpcp(g, k, exact),
                lambda g, k, exact=False: solve_cpp(g, k, seed=7, exact=exact))
     for g in graphs:
@@ -542,7 +545,8 @@ def test_search_splits_into_nontrivial_components_only(monkeypatch):
     """The reductions leave no trivial component, so every component a
     search node splits off has more than TRIVIAL_COMPONENT_SIZE vertices and
     a vertex of degree other than 2: p200 cpp at -k 15 and exact, and cpcp
-    exact on planted(n, k, s) for n = 40-150."""
+    and cpp exact on planted(n, k, s) for n = 40-150. The splits of cpp's
+    nested cpcp floor count too."""
     split, checked = Graph.split, []
 
     def checked_split(g):
@@ -559,6 +563,7 @@ def test_search_splits_into_nontrivial_components_only(monkeypatch):
     for s, n in enumerate(range(40, 151, 10)):
         g = planted_graph(n, n // 10, s)
         solve_cpcp(g, g.alive_count, exact=True)
+        solve_cpp(g, g.alive_count, exact=True)
     assert len(checked) >= 1000, len(checked)
 
 
@@ -612,22 +617,29 @@ def test_oracle_equivalence_cpp(rng):
 def test_cpp_leaves_draw_consecutive_seeds(monkeypatch):
     """The i-th cut & count decision of a search gets derive_seed(seed, i),
     whether it decides a leaf at the cap or one of a leaf's ascending budgets
-    in exact mode. Only a leaf whose deletion-DP witness leaves a cycle
-    reaches cut & count; one the claw bound, the guard or the deletion DP
-    refutes draws no seed."""
+    in exact mode. With the cycle-branch cap at 0 every site where no step
+    applies and the cpcp floor leaves a cycle falls back to the cut & count
+    leaf, capped below the floor's incumbent; one the claw bound or the
+    floor refutes draws no seed. dp_calls counts the floor's deletion DPs
+    too."""
     from copack.generators import proper_graph
 
     # which cycles the deletion DP's witness leaves depends on the
     # decomposition; these counts are pinned on the exact one
     monkeypatch.setattr(decomp, "decomposition_for", exact_decomposition_for)
-    # proper graphs the search hands to a leaf whole: a's cpp minimum is
-    # above its cpcp minimum, b's equals it
-    a, b = proper_graph(13, 66), proper_graph(12, 9)
+    monkeypatch.setattr(branching, "CYCLE_NODES", 0)
+    # a proper graph the search hands to a leaf whole, whose cpp minimum is
+    # above its cpcp minimum; the floor's witness leaves one cycle
+    a = proper_graph(13, 66)
     assert (oracle_min(a, "cpcp"), oracle_min(a, "cpp")) == (2, 3)
-    assert (oracle_min(b, "cpcp"), oracle_min(b, "cpp")) == (2, 2)
-    ab = disjoint_union(a, b)
+    # two copies of a joined by an edge: floor 5, whose witness leaves two
+    # cycles, so the incumbent (7) leaves the leaf two budgets to climb
+    aa = joined_copies(a, 2, 8)
+    assert solve_cpcp(aa, 26, exact=True).size == 5
+    a_aa = disjoint_union(a, aa)
     # the Petersen graph is cubic with a greedy claw packing of 1, so at
-    # k = 1 the guard (n3 = 10 > 4k), not the claw bound, refutes it
+    # k = 1 the guard (n3 = 10 > 4k) in the floor's leaf, not the claw
+    # bound, refutes it
     petersen = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
                                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)])
     decisions = []
@@ -638,21 +650,24 @@ def test_cpp_leaves_draw_consecutive_seeds(monkeypatch):
         return decide(g, k, events, repeats, seed)
 
     monkeypatch.setattr(cutcount, "decide_cpp", recording)
-    # (graph, k, exact, size found or None, (dp_calls, guard_rejects,
-    # bound_prunes), the leaf and budget of each cut & count decision)
+    # (graph, k, exact, size found or None, whether a witness comes back,
+    # (dp_calls, guard_rejects, bound_prunes), the leaf and budget of each
+    # cut & count decision)
     cases = (
-        (a, 2, False, None, (1, 0, 0), [(13, 2)]),
-        (a, 13, True, 3, (1, 0, 0), [(13, 2), (13, 3)]),
-        (a, 0, False, None, (0, 0, 1), []),
-        (petersen, 1, False, None, (0, 1, 0), []),
-        (ab, 4, False, None, (2, 0, 0), [(12, 2), (13, 2)]),
-        (ab, 3, False, None, (2, 0, 0), [(12, 2)]),
-        (ab, 25, True, 5, (2, 0, 0), [(12, 2), (13, 2), (13, 3)]),
+        (a, 2, False, None, False, (2, 0, 0), [(13, 2)]),
+        # cut & count refutes 2, below the incumbent, whose witness stands
+        (a, 13, True, 3, True, (2, 0, 0), [(13, 2)]),
+        (a, 0, False, None, False, (0, 0, 1), []),
+        (petersen, 1, False, None, False, (0, 1, 0), []),
+        (aa, 26, True, 6, False, (3, 0, 0), [(26, 5), (26, 6)]),
+        (a_aa, 39, True, 9, False, (5, 0, 0), [(13, 2), (26, 5), (26, 6)]),
+        (a_aa, 8, False, None, False, (5, 0, 0), [(13, 2), (26, 5)]),
+        (a_aa, 9, False, 9, False, (5, 0, 0), [(13, 2), (26, 6)]),
     )
-    for g, k, exact, size, leaves, budgets in cases:
+    for g, k, exact, size, witnessed, leaves, budgets in cases:
         decisions.clear()
         out = solve_cpp(g, k, repeats=2, seed=7, exact=exact)
-        assert out.size == size and out.witness is None, (k, exact)
+        assert out.size == size and (out.witness is not None) == witnessed, (k, exact)
         assert (out.stats.dp_calls, out.stats.guard_rejects, out.stats.bound_prunes) == leaves, (k, exact)
         assert out.stats.cc_calls == len(budgets)
         assert decisions == [(n, kk, cutcount.derive_seed(7, i)) for i, (n, kk) in enumerate(budgets)]
@@ -976,3 +991,62 @@ def test_claw_bound_settles_p200_cpp():
     assert not no.answer and no.stats.nodes < 100 and no.stats.bound_prunes > 0
     yes = solve_cpp(g, 15)
     assert yes.answer and len(yes.witness) == 15 and verify(g, yes.witness, "cpp")
+
+
+def test_cpp_floor_search_matches_oracle():
+    """600 seeded gnm and proper graphs of 5-13 vertices: the exact cpp
+    search reads the oracle's minimum, decisions at the minimum and one
+    below agree with it, and every yes carries a verified witness, with no
+    cut & count decision. Over 100 of the graphs have a cpp minimum above
+    their cpcp floor, so the cycle branch decides them."""
+    from copack.generators import proper_graph
+
+    above = 0
+    for t in range(300):
+        rng = random.Random(t + 52000)
+        n = rng.randint(5, 13)
+        for g in (gnm_graph(n, rng.randint(n, min(3 * n, n * (n - 1) // 2)), t), proper_graph(rng.randint(6, 13), t)):
+            mn = oracle_min(g, "cpp")
+            above += mn > oracle_min(g, "cpcp")
+            outs = (solve_cpp(g, g.alive_count, exact=True), solve_cpp(g, mn), solve_cpp(g, mn - 1))
+            assert [out.answer for out in outs] == [True, True, False] and outs[0].size == mn, (t, g.edges())
+            for out in outs[:2]:
+                assert len(out.witness) == out.size <= mn and verify(g, out.witness, "cpp"), (t, g.edges())
+            assert sum(out.stats.cc_calls for out in outs) == 0, (t, g.edges())
+    assert above >= 100, above
+
+
+def test_cpp_branches_on_a_cycle_the_floor_leaves(monkeypatch):
+    """proper(13, 66) is proper, so no paper step applies, and its cpcp
+    floor 2 leaves the 6-cycle 1-2-4-5-9-10: the search branches once, one
+    child per vertex of that cycle, and settles the cpp minimum 3 with a
+    witness. With the cycle-branch cap at 0 the cut & count leaf decides it
+    instead. On K8 a step applies and no edge joins two degree-<=2
+    vertices, so the floor never runs."""
+    from copack.generators import proper_graph
+
+    g = proper_graph(13, 66)
+    assert _pick_step(g, "cpp") is None
+    rules, floors = [], []
+    shipped, node = branching.BranchSet, branching._Search.node
+
+    def recorded(rule, children):
+        rules.append((rule, sorted(v for ch in children for v in ch)))
+        return shipped(rule, children)
+
+    def counted(self, inst, exact, cycle_nodes=None):
+        floors.append(self.problem == "cpcp")
+        return node(self, inst, exact, cycle_nodes)
+
+    monkeypatch.setattr(branching, "BranchSet", recorded)
+    monkeypatch.setattr(branching._Search, "node", counted)
+    out = solve_cpp(g, 13, exact=True)
+    assert out.size == 3 and len(out.witness) == 3 and verify(g, out.witness, "cpp")
+    assert rules == [("cycle", [1, 2, 4, 5, 9, 10])] and out.stats.nodes >= 1 and out.stats.cc_calls == 0
+    monkeypatch.setattr(branching, "CYCLE_NODES", 0)
+    rules.clear()
+    out = solve_cpp(g, 2)
+    assert not out.answer and rules == [] and out.stats.cc_calls > 0
+    floors.clear()
+    out = solve_cpp(complete_graph(8), 8, exact=True)
+    assert out.size == 6 and out.stats.nodes > 0 and floors and not any(floors)

@@ -7,7 +7,7 @@ from copack.decomp import parse_decomposition
 from copack.dimacs import parse_graph, write_graph
 from copack.errors import GraphFormatError
 from copack.generators import gnm_graph
-from conftest import exact_decomposition_for, random_graph
+from conftest import exact_decomposition_for, joined_copies, random_graph
 
 
 def test_parse_graph_examples():
@@ -207,10 +207,11 @@ def test_cpcp_optimize_without_edges(tmp_path, capsys):
 
 
 def test_cpp_optimize_auto_matches_dp_past_oracle(tmp_path):
-    """cpp --optimize: the search, whose leaves settle in the deletion DP or
-    cut & count, and cut & count on the whole graph climbing from the
-    deletion DP's minimum find the same minimum; every witness the search
-    prints verifies at that size, and up to 14 vertices the oracle agrees.
+    """cpp --optimize: the search, whose components settle on the cpcp
+    floor, branch on a cycle its witness leaves or fall back to cut & count,
+    and cut & count on the whole graph climbing from the deletion DP's
+    minimum find the same minimum; every witness the search prints
+    verifies at that size, and up to 14 vertices the oracle agrees.
     A whole-graph cut & count DP costs 5^width per bag, so graphs whose
     decomposition is wider than 5 are left out."""
     from copack.decomp import decomposition_for, to_nice
@@ -243,6 +244,34 @@ def test_cpp_optimize_auto_matches_dp_past_oracle(tmp_path):
         checked += g.alive_count > ORACLE_LIMIT
         leaves += auto["dp_calls"]
     assert checked >= 30 and witnessed >= 30 and leaves >= 40, (checked, witnessed, leaves)
+
+
+def test_cpp_optimize_auto_matches_dp_up_to_100_vertices(tmp_path):
+    """cpp --optimize in auto mode, which settles components on the cpcp
+    floor and branches on the cycles its witness leaves, reads the minimum
+    --mode dp does on seeded proper graphs of 20-50 vertices and planted
+    graphs of 22-110, and prints a verified witness with no cut & count
+    decision. Graphs whose decomposition is wider than 5 are left out, as
+    the dp route's cut & count costs 5^width per bag."""
+    from copack.decomp import decomposition_for, to_nice
+    from copack.generators import planted_graph, proper_graph
+    from copack.oracles import verify
+
+    graphs = [proper_graph(n, seed) for seed in range(3) for n in (20, 30, 40, 50)]
+    graphs += [planted_graph(n, n // 10, seed) for seed in range(3) for n in (20, 40, 60, 80, 90, 100)]
+    f = tmp_path / "g.gr"
+    checked = 0
+    for seed, g in enumerate(graphs):
+        if to_nice(decomposition_for(g)).width > 5:
+            continue
+        f.write_text(write_graph(g))
+        auto, dp = (command_solve(RunConfig(problem="cpp", optimize=True, mode=mode, seed=seed), str(f))[0]
+                    for mode in ("auto", "dp"))
+        assert auto["min_size"] == dp["min_size"] and auto["cc_calls"] == 0, (seed, g.edges())
+        wit = {int(v) for v in auto["witness"].split(",") if v}
+        assert len(wit) == auto["min_size"] and verify(g, wit, "cpp"), (seed, g.edges())
+        checked += 1
+    assert checked >= 24, checked
 
 
 def test_bdd_rejects_branch_mode(tmp_path, capsys):
@@ -446,21 +475,24 @@ def test_huge_header_is_refused_before_allocating(tmp_path):
 
 
 def test_cpp_fail_bound_sums_every_leaf_decision(tmp_path, monkeypatch):
-    """Two disjoint proper components whose deletion-DP witnesses leave a
-    cycle: the exact search makes cut & count decisions in both, counted in
-    cc_calls, and the bound is taken over every one of them. A record with
-    no cut & count decision prints a bound of 0."""
-    from copack import cutcount, decomp
+    """Two disjoint proper components whose cpcp floor leaves a cycle, with
+    the cycle-branch cap at 0 so both fall back to the cut & count leaf: the
+    exact search makes cut & count decisions in both, counted in cc_calls,
+    and the bound is taken over every one of them. A record with no cut &
+    count decision prints a bound of 0."""
+    from copack import branching, cutcount, decomp
     from copack.generators import proper_graph
     from copack.graph import Graph
 
     # which cycles the deletion DP's witness leaves depends on the
     # decomposition; these counts are pinned on the exact one
     monkeypatch.setattr(decomp, "decomposition_for", exact_decomposition_for)
-    a, b = proper_graph(13, 66), proper_graph(12, 9)
-    edges = a.edges() + [(u + a.size, v + a.size) for u, v in b.edges()]
+    monkeypatch.setattr(branching, "CYCLE_NODES", 0)
+    # a, and two copies of a joined by the edge (2, 21): cpp minima 3 and 6
+    a = proper_graph(13, 66)
+    edges = a.edges() + [(u + 13, v + 13) for u, v in joined_copies(a, 2, 8).edges()]
     f = tmp_path / "g.gr"
-    f.write_text(write_graph(Graph.from_edges(a.size + b.size, edges)))
+    f.write_text(write_graph(Graph.from_edges(39, edges)))
     decisions = []
     decide = cutcount.decide_cpp
 
@@ -470,8 +502,9 @@ def test_cpp_fail_bound_sums_every_leaf_decision(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cutcount, "decide_cpp", counted)
     rec, code = command_solve(RunConfig(problem="cpp", optimize=True, repeats=4), str(f))
-    assert code == 0 and rec["min_size"] == 5 and "witness" not in rec
-    assert rec["dp_calls"] == 2 and rec["cc_calls"] == len(decisions) == 3
+    assert code == 0 and rec["min_size"] == 9 and "witness" not in rec
+    # each component's floor runs one deletion DP and its fallback leaf one
+    assert rec["dp_calls"] == 5 and rec["cc_calls"] == len(decisions) == 3
     assert rec["fail_bound"] == "%.3g" % (3 * (1.0 / 3.0) ** 4)
     f.write_text(write_graph(proper_graph(14, 1)))
     rec, code = command_solve(RunConfig(problem="cpp", optimize=True, repeats=4), str(f))
@@ -579,8 +612,11 @@ def test_cpcp_optimize_is_one_exact_search(tmp_path, monkeypatch):
     """cpcp and cpp --optimize in auto mode run the search once, in exact
     mode, and print the minimum the oracle or the whole-graph route finds.
     A printed witness verifies and has that size: cpcp always prints one,
-    cpp unless a cut & count leaf is in the search's solution."""
+    cpp unless a cut & count leaf is in the search's solution. Here every
+    cpp solve settles without one; with the cycle-branch cap at 0 the
+    joined pair of proper(13, 66) ends in cut & count and prints none."""
     import copack.cli
+    from copack import branching
     from copack.generators import planted_graph, proper_graph
     from copack.oracles import verify
 
@@ -612,7 +648,14 @@ def test_cpcp_optimize_is_one_exact_search(tmp_path, monkeypatch):
                 witnesses[problem] += 1
             else:
                 assert problem == "cpp" and rec["cc_calls"] > 0
-    assert witnesses == {"cpcp": 4, "cpp": 3}
+    assert witnesses == {"cpcp": 4, "cpp": 4}
+    f.write_text(write_graph(joined_copies(proper_graph(13, 66), 2, 8)))
+    mn = command_solve(RunConfig(problem="cpp", optimize=True, mode="dp"), str(f))[0]["min_size"]
+    monkeypatch.setattr(branching, "CYCLE_NODES", 0)
+    calls.clear()
+    rec, code = command_solve(RunConfig(problem="cpp", optimize=True), str(f))
+    assert code == 0 and calls == [True] and rec["min_size"] == mn == 6
+    assert "witness" not in rec and rec["cc_calls"] > 0
 
 
 def test_cli_import_leaves_numpy_out():
