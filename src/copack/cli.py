@@ -8,9 +8,10 @@ found, 1 no, 2 error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from . import generators
 from .bdd import bdd_dp_solve
@@ -189,7 +190,7 @@ def command_solve(cfg: RunConfig, path: str):
         record["fail_bound"] = "%.3g" % (stats.cc_calls * (1.0 / 3.0) ** cfg.repeats)
     if witness is not None:
         record["witness"] = ",".join(str(v) for v in sorted(witness))
-    record.update(asdict(stats))
+    record.update(vars(stats))  # SolveStats' fields, in field order
     record["elapsed"] = "%.3f" % (time.monotonic() - start)
     return record, EXIT_YES if ans else EXIT_NO
 
@@ -237,7 +238,10 @@ def _emit(record: dict):
     print(" ".join("%s=%s" % (k, v) for k, v in record.items()))
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call: the build costs more than
+    a small solve, and `parse_args` leaves no state in it between calls."""
     parser = argparse.ArgumentParser(prog="copack", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -260,8 +264,14 @@ def main(argv=None) -> int:
     pg.add_argument("--k", type=int, default=None)
 
     sub.add_parser("factors", help="recompute the branching factors of every step")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    """Run one command; returns its exit code. The argument parser is built
+    once per process, on the first call, and shared by every later one, so
+    `main` may be called repeatedly in one process."""
+    args = _parser().parse_args(argv)
     try:
         if args.command == "solve":
             cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})

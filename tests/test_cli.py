@@ -320,6 +320,96 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["solve", "--problem", "cpcp", "-k", "1", str(tmp_path / "missing.gr")]) == 2
 
 
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    """Every main call after the first reuses the parser the first built,
+    through solve, gen, factors, a failing solve and a second solve."""
+    import argparse
+
+    import copack.cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    copack.cli._parser.cache_clear()
+    f = tmp_path / "c6.gr"
+    f.write_text(command_gen("cycle", [6]))
+    assert main(["solve", "--problem", "cpp", "-k", "1", str(f)]) == 0
+    first = len(built)
+    assert first > 0
+    for argv, code in ((["gen", "cycle", "6"], 0),
+                       (["factors"], 0),
+                       (["solve", "--problem", "cpcp", "-k", "1", str(tmp_path / "missing.gr")], 2),
+                       (["solve", "--problem", "cpp", "-k", "0", str(f)], 1)):
+        assert main(argv) == code, argv
+        assert len(built) == first, argv
+
+
+def test_shared_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    """Options given to one call do not leak into the next, each gen prints
+    its own graph, and --help and an invalid choice exit the same way every
+    time."""
+    import copack.cli
+
+    configs = []
+
+    def captured(cfg, path):
+        configs.append(cfg)
+        return {"answer": "yes"}, 0
+
+    monkeypatch.setattr(copack.cli, "command_solve", captured)
+    f = tmp_path / "c6.gr"
+    f.write_text(command_gen("cycle", [6]))
+    pd = tmp_path / "c6.pd"
+    pd.write_text("unread")
+    assert main(["solve", str(f), "--problem", "cpp", "--seed", "5", "--repeats", "3", "--mode", "dp",
+                 "--decomposition", str(pd), "-k", "2"]) == 0
+    assert main(["solve", str(f), "--problem", "cpcp", "--optimize"]) == 0
+    # the second call's options are all defaults: seed 0, repeats 10, auto
+    # mode, no decomposition, k and d None
+    assert configs == [RunConfig(problem="cpp", k=2, mode="dp", seed=5, repeats=3, decomposition=str(pd)),
+                       RunConfig(problem="cpcp", optimize=True)]
+    capsys.readouterr()
+
+    for argv in (["grid", "3", "4"], ["cycle", "6"]):
+        assert main(["gen"] + argv) == 0
+        assert capsys.readouterr().out == command_gen(argv[0], [int(v) for v in argv[1:]])
+
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: copack")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(f), "--problem", "cpp", "--mode=branch", "-k", "1"])
+        assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
+    assert len(configs) == 2
+
+
+def test_record_carries_every_solve_counter(tmp_path, monkeypatch):
+    """A solve record carries each SolveStats field once, in field order,
+    with the value the solve returned."""
+    from dataclasses import fields
+
+    import copack.cli
+    from copack.branching import SolveStats
+
+    names = [fld.name for fld in fields(SolveStats)]
+    stats = SolveStats(**{name: 11 * (i + 1) for i, name in enumerate(names)})
+    monkeypatch.setattr(copack.cli, "_solve_decision", lambda g, cfg: (True, {0}, None, stats))
+    f = tmp_path / "c6.gr"
+    f.write_text(command_gen("cycle", [6]))
+    for cfg in (RunConfig(problem="cpp", k=1), RunConfig(problem="bdd", d=1, k=2)):
+        rec, code = command_solve(cfg, str(f))
+        assert code == 0 and rec["witness"] == "0"
+        assert [key for key in rec if key in names] == names
+        assert {name: rec[name] for name in names} == {name: getattr(stats, name) for name in names}
+
+
 def test_validate_refuses_bad_configurations(tmp_path, capsys, monkeypatch):
     """Each configuration RunConfig.validate refuses exits 2 through main,
     with one error line and no record, before the graph is decomposed."""
@@ -659,7 +749,8 @@ def test_cpcp_optimize_is_one_exact_search(tmp_path, monkeypatch):
 
 
 def test_cli_import_leaves_numpy_out():
-    """The package has no runtime dependency: importing the CLI loads no numpy."""
+    """The package has no runtime dependency: importing the CLI loads no
+    numpy. Nor does it build the parser, which waits for the first main."""
     import os
     import subprocess
     import sys
@@ -669,10 +760,11 @@ def test_cli_import_leaves_numpy_out():
     src = os.path.dirname(os.path.dirname(os.path.abspath(copack.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, copack.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c",
+         "import sys, copack.cli; print('numpy' in sys.modules, copack.cli._parser.cache_info().currsize)"],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False 0"
 
 
 def subdivided_graph(core_n, core_m, seed):
