@@ -21,23 +21,21 @@ print("K5, budget 1:", "yes" if solve_cpcp(k5, 1).answer else "no")
 # packing, where one vertex must go.
 c7 = cycle_graph(7)
 print("\nC7 cpcp with budget 0:", solve_cpcp(c7, 0).answer)
-print("C7 cpp  with budget 0:", solve_cpp(c7, 0, repeats=10, seed=1).answer)
-print("C7 cpp  with budget 1:", solve_cpp(c7, 1, repeats=10, seed=1).answer)
+print("C7 cpp  with budget 0:", solve_cpp(c7, 0).answer)
+print("C7 cpp  with budget 1:", solve_cpp(c7, 1).answer)
 
-# The randomized side never answers yes wrongly; a no on a yes-instance
-# happens with probability at most (1/3)^repeats per cut & count decision.
-# The search seldom gets there: the co-path/cycle minimum is a floor for
-# co-path packing, a witness of it that leaves no cycle is a solution, and
-# otherwise the search branches on a cycle that witness leaves. Only past a
-# cap on those branch nodes does cut & count decide.
+# The co-path/cycle minimum is a floor for co-path packing: a witness of it
+# that leaves no cycle is a solution, and otherwise the search branches on a
+# cycle that witness leaves. The search is exact, and every yes comes with a
+# verified witness.
 g = gnm_graph(9, 14, seed=4)
 truth = oracle_min(g, "cpp")
 print("\nrandom 9-vertex graph: oracle minimum for cpp =", truth)
 for k in range(truth - 1, truth + 2):
-    out = solve_cpp(g, k, repeats=12, seed=7)
-    print("  budget %d -> %s, witness %s (nodes=%d, deletion DPs=%d, cut&count decisions=%d)"
+    out = solve_cpp(g, k)
+    print("  budget %d -> %s, witness %s (nodes=%d, deletion DPs=%d)"
           % (k, "yes" if out.answer else "no", out.witness and sorted(out.witness), out.stats.nodes,
-             out.stats.dp_calls, out.stats.cc_calls))
+             out.stats.dp_calls))
 
 # Statistics show how much work the search did.
 out = solve_cpcp(gnm_graph(9, 20, seed=11), 3)

@@ -4,15 +4,14 @@ One depth-first branch and bound serves both problems: it runs the
 reductions to a fixpoint at every node, solves the components left one at a
 time, refutes any whose claw packing exceeds its budget, fires the first
 applicable branching step on each, whose children are the vertex sets they
-delete, and hands proper components to the deletion DP. Every path packing
-is a path/cycle packing, so for cpp an exact cpcp search of the component
-gives a floor: it refutes the component, settles it when its witness leaves
-no cycle, and otherwise, where no step applies, the component branches on
-the shortest cycle that witness leaves, which every solution must hit. Past
-CYCLE_NODES such nodes a cpp component falls back to the deletion DP and
-cut & count. Besides deleting trivial components, cpcp reduces with three
-local rules and cpp with two: the contraction of a degree-2 vertex whose
-neighbors both have degree <= 2, and for both the deletion of each
+delete, and hands proper cpcp components to the deletion DP. Every path
+packing is a path/cycle packing, so for cpp an exact cpcp search of the
+component gives a floor: it refutes the component, settles it when its
+witness leaves no cycle, and otherwise, where no step applies, the
+component branches on the shortest cycle that witness leaves, which every
+solution must hit. Besides deleting trivial components, cpcp reduces with
+three local rules and cpp with two: the contraction of a degree-2 vertex
+whose neighbors both have degree <= 2, and for both the deletion of each
 degree->=5 vertex that can be swapped for the neighbors a solution takes.
 At either fixpoint every degree-2 vertex has a neighbor of degree >= 3, as
 a proper graph needs.
@@ -25,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import cutcount, decomp, graph as graphlib
+from . import decomp, graph as graphlib
 from .bdd import bdd_dp_solve
 from .errors import InternalSolverError
 from .graph import Graph
@@ -420,26 +419,6 @@ def _pick_step(g: Graph, problem: str) -> BranchSet | None:
 # -------------------------------------------------------------------- search
 
 
-def least_cpp_budget(g: Graph, lo: int, cap: int, events, repeats: int, seed: int,
-                     stats: SolveStats) -> int | None:
-    """The least budget in lo..cap at which cut & count, with up to `repeats`
-    weightings per budget, accepts g, or None. The i-th cut & count decision
-    of a solve draws derive_seed(seed, i), counted by stats.cc_calls, so
-    stats must start at zero."""
-    for k in range(lo, cap + 1):
-        runs = cutcount.decide_cpp(g, k, events, repeats, cutcount.derive_seed(seed, stats.cc_calls))
-        stats.cc_calls += 1
-        stats.repeats += runs or repeats
-        if runs:
-            return k
-    return None
-
-
-# cycle-branch nodes allowed below one component before its cycle-branch
-# sites fall back to the cut & count leaf
-CYCLE_NODES = 100
-
-
 def _cycles_left(g: Graph, wit) -> list[list[int]]:
     """The cycles g leaves once the cpcp witness wit is deleted, each as its
     sorted vertices, shortest first."""
@@ -472,11 +451,7 @@ class _Search:
     """Depth-first branch and bound over components, for one solve.
 
     A frame returns (size, witness) for a deletion set within its cap, or
-    None when there is none; in exact mode the size is the minimum. A
-    witness is None once a cut & count leaf, which finds none, is in it;
-    only such a leaf, which cpp reaches past the cycle-branch cap alone,
-    can read a minimum too high or miss a yes, with probability at most
-    (1/3)^repeats per cut & count decision.
+    None when there is none; in exact mode the size is the minimum.
     Each connected graph is memoized for the length of the solve, keyed by
     its edges: ids are stable, so equal subgraphs in sibling branches share
     an entry. An entry is its minimum with a witness, or a cap the minimum
@@ -484,23 +459,21 @@ class _Search:
     which shares its stats and keeps its own memo for the solve.
     """
 
-    def __init__(self, problem: str, stats: SolveStats, repeats: int, seed: int):
+    def __init__(self, problem: str, stats: SolveStats):
         self.problem = problem
         self.reduce = reduce_cpcp if problem == "cpcp" else reduce_cpp
         self.stats = stats
-        self.repeats = repeats
-        self.seed = seed
         self.minima: dict[bytes, tuple] = {}  # edge key -> (minimum, witness)
         self.above: dict[bytes, int] = {}  # edge key -> a cap the minimum exceeds
         # cpp's floor: one exact cpcp search, its memo kept for the solve
-        self.floor = _Search("cpcp", stats, 0, 0) if problem == "cpp" else None
+        self.floor = _Search("cpcp", stats) if problem == "cpp" else None
 
     def solve(self, g: Graph, k: int, exact: bool = False):
         """(size, witness) for a deletion set of g of size <= k, the least
         one in exact mode, or None when there is none."""
         return _drive(self.node(Instance(g.copy(), k, set()), exact))
 
-    def node(self, inst: Instance, exact: bool, cycle_nodes=None):
+    def node(self, inst: Instance, exact: bool):
         """Reduce inst in place, which deletes every trivial component, then
         solve the components left smallest first, each capped by the budget
         the others leave. Every component but the last gets its minimum; the
@@ -516,15 +489,15 @@ class _Search:
             # every component left has a vertex of degree >= 3, so each one
             # still to come costs at least 1
             later = len(parts) - 1 - i
-            found = yield self.component(part, left - later, exact or later > 0, cycle_nodes)
+            found = yield self.component(part, left - later, exact or later > 0)
             if found is None:
                 return None
             size += found[0]
             left -= found[0]
-            wit = None if wit is None or found[1] is None else wit | found[1]
+            wit = wit | found[1]
         return size, wit
 
-    def component(self, g: Graph, cap: int, exact: bool, cycle_nodes=None):
+    def component(self, g: Graph, cap: int, exact: bool):
         """Solve the connected, reduced graph g within cap. A claw packing
         larger than cap refutes it outright. A branch node runs a child only
         if it can beat the best found so far; a decision stops at its first
@@ -537,11 +510,8 @@ class _Search:
         refutes g, and one whose witness leaves no cycle is g's cpp minimum.
         Otherwise the witness with one vertex of each cycle it leaves is an
         incumbent, and where no step applies g branches on the shortest of
-        those cycles: one child per vertex, each deleting it. Once the
-        subtree of the component where cycle branching began has made
-        CYCLE_NODES such nodes, each further site goes to the cut & count
-        leaf. cycle_nodes is the count that subtree has left, a one-item
-        list it shares, or None above its first cycle branch."""
+        those cycles: one child per vertex, each deleting it. So only cpcp
+        reaches the deletion DP leaf."""
         if cap < 0:
             return None
         key = g.edge_key()
@@ -571,13 +541,9 @@ class _Search:
                     return best
                 cap = best[0] - 1
             if bs is None:
-                if cycle_nodes is None:
-                    cycle_nodes = [CYCLE_NODES]
-                if cycle_nodes[0] > 0:
-                    cycle_nodes[0] -= 1
-                    bs = BranchSet("cycle", [frozenset((v,)) for v in cycles[0]])
+                bs = BranchSet("cycle", [frozenset((v,)) for v in cycles[0]])
         if bs is None:
-            best = self.leaf(g, cap, exact) or best
+            best = self.leaf(g, cap)
         else:
             self.stats.nodes += 1
             for ch in bs.children:
@@ -585,7 +551,7 @@ class _Search:
                     continue
                 child = g.copy()
                 changed = child.remove_vertices(ch)
-                found = yield self.node(Instance(child, cap - len(ch), set(ch), changed), exact, cycle_nodes)
+                found = yield self.node(Instance(child, cap - len(ch), set(ch), changed), exact)
                 if found is not None:
                     best, cap = found, found[0] - 1
                     if not exact or found[0] == floor:
@@ -596,12 +562,9 @@ class _Search:
             self.minima[key] = best
         return best
 
-    def leaf(self, g: Graph, cap: int, exact: bool):
-        """A proper graph: past the guard, the deletion DP's minimum, which
-        answers cpcp. cpp comes here only past the cycle-branch cap: the
-        minimum is a floor, and a witness leaving no cycle reaches it. Any
-        other cpp leaf goes to cut & count: at budgets from the floor up to
-        the cap in exact mode, or at the cap alone."""
+    def leaf(self, g: Graph, cap: int):
+        """A proper graph, for cpcp: past the guard, the deletion DP's
+        minimum with its witness."""
         if not decomp.is_proper(g):
             raise InternalSolverError("branching left a non-proper graph: %s" % (g.edges(),))
         if not decomp.guard_check(g, cap):
@@ -611,21 +574,16 @@ class _Search:
         self.stats.width = max(self.stats.width, events.width)
         self.stats.dp_calls += 1
         size, wit = bdd_dp_solve(g, events, 2)
-        if size > cap:
-            return None
-        if self.problem == "cpcp" or not _cycles_left(g, wit):
-            return size, wit
-        k = least_cpp_budget(g, size if exact else cap, cap, events, self.repeats, self.seed, self.stats)
-        return None if k is None else (k, None)
+        return (size, wit) if size <= cap else None
 
 
-def _solve(problem: str, g: Graph, k: int, exact: bool, repeats: int, seed: int) -> SolveOutcome:
+def _solve(problem: str, g: Graph, k: int, exact: bool) -> SolveOutcome:
     stats = SolveStats()
-    found = _Search(problem, stats, repeats, seed).solve(g, k, exact) if k >= 0 else None
+    found = _Search(problem, stats).solve(g, k, exact) if k >= 0 else None
     if found is None:
         return SolveOutcome(False, None, None, stats)
     size, wit = found
-    if size > k or wit is not None and (size != len(wit) or not verify(g, wit, problem)):
+    if size > k or size != len(wit) or not verify(g, wit, problem):
         raise InternalSolverError("produced witness fails verification")
     return SolveOutcome(True, wit, size, stats)
 
@@ -634,18 +592,12 @@ def solve_cpcp(g: Graph, k: int, exact: bool = False) -> SolveOutcome:
     """Decide whether deleting at most k vertices leaves maximum degree <= 2;
     on yes, return a verifying deletion set of size <= k, a minimum one if
     exact."""
-    return _solve("cpcp", g, k, exact, 0, 0)
+    return _solve("cpcp", g, k, exact)
 
 
-def solve_cpp(g: Graph, k: int, repeats: int = 10, seed: int = 0, exact: bool = False) -> SolveOutcome:
+def solve_cpp(g: Graph, k: int, exact: bool = False) -> SolveOutcome:
     """Decide whether deleting at most k vertices leaves disjoint paths; on
-    yes, return the size found, the minimum if exact, with a verifying
-    deletion set unless a cut & count leaf is in it. Components settle on
-    the cpcp floor or branch on the cycles its witness leaves; only one
-    past the cycle-branch cap reaches a cut & count leaf.
-
-    A yes is always correct. A no, or a minimum read too high, comes only
-    from a cut & count leaf decision, each of which misses a yes at its
-    budget with probability at most (1/3)^repeats.
-    """
-    return _solve("cpp", g, k, exact, repeats, seed)
+    yes, return a verifying deletion set of size <= k, a minimum one if
+    exact. Components settle on the cpcp floor or branch on the cycles its
+    witness leaves."""
+    return _solve("cpp", g, k, exact)

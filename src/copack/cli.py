@@ -13,9 +13,9 @@ import sys
 import time
 from dataclasses import dataclass, fields
 
-from . import generators
+from . import cutcount, generators
 from .bdd import bdd_dp_solve
-from .branching import SolveStats, least_cpp_budget, solve_cpcp, solve_cpp
+from .branching import SolveStats, solve_cpcp, solve_cpp
 from .decomp import Violation, decomposition_for, parse_decomposition, to_nice, validate
 from .dimacs import parse_graph, write_graph
 from .errors import InternalSolverError
@@ -132,6 +132,21 @@ def _bdd_leaves(g: Graph, d: int, stats: SolveStats) -> tuple[int, set[int]]:
     return mn, wit
 
 
+def least_cpp_budget(g: Graph, lo: int, cap: int, events, repeats: int, seed: int,
+                     stats: SolveStats) -> int | None:
+    """The least budget in lo..cap at which cut & count, with up to `repeats`
+    weightings per budget, accepts g, or None. The i-th cut & count decision
+    of a solve draws derive_seed(seed, i), counted by stats.cc_calls, so
+    stats must start at zero."""
+    for k in range(lo, cap + 1):
+        runs = cutcount.decide_cpp(g, k, events, repeats, cutcount.derive_seed(seed, stats.cc_calls))
+        stats.cc_calls += 1
+        stats.repeats += runs or repeats
+        if runs:
+            return k
+    return None
+
+
 def _solve_decision(g: Graph, cfg: RunConfig):
     """The one solve of a run, at budget -k or, exact under --optimize, at
     the vertex count: (answer, witness or None, the minimum or None, its
@@ -157,11 +172,8 @@ def _solve_decision(g: Graph, cfg: RunConfig):
     elif cfg.problem == "bdd":
         mn, wit = _bdd_leaves(g, cfg.d, stats)
     else:
-        if cfg.problem == "cpp":
-            out = solve_cpp(g, k, cfg.repeats, cfg.seed, cfg.optimize)
-        else:
-            out = solve_cpcp(g, k, cfg.optimize)
-        # the search verifies any witness it returns
+        out = (solve_cpp if cfg.problem == "cpp" else solve_cpcp)(g, k, cfg.optimize)
+        # the search verifies every witness it returns
         return out.answer, out.witness, (out.size if cfg.optimize else None), out.stats
     if len(wit) != mn or not verify(g, wit, cfg.problem, cfg.d):
         raise InternalSolverError("exact witness of size %d fails verification" % mn)
@@ -183,10 +195,9 @@ def command_solve(cfg: RunConfig, path: str):
     record["answer"] = "yes" if ans else "no"
     if mn is not None:
         record["min_size"] = mn
-    if cfg.problem == "cpp" and cfg.mode != "oracle":
+    if cfg.problem == "cpp" and cfg.mode == "dp":
         # union bound over every cut & count decision, each of which can miss
-        # a yes with probability <= (1/3)^repeats; the rest is exact. In auto
-        # mode only leaves past the search's cycle-branch cap decide that way
+        # a yes with probability <= (1/3)^repeats; the other routes are exact
         record["fail_bound"] = "%.3g" % (stats.cc_calls * (1.0 / 3.0) ** cfg.repeats)
     if witness is not None:
         record["witness"] = ",".join(str(v) for v in sorted(witness))
@@ -252,8 +263,8 @@ def _parser() -> argparse.ArgumentParser:
     ps.add_argument("-k", type=int, default=None)
     ps.add_argument("--optimize", action="store_true", help="find the minimum deletion size")
     ps.add_argument("--mode", choices=("auto", "dp", "oracle"), default="auto")
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--repeats", type=int, default=10)
+    ps.add_argument("--seed", type=int, default=0, help="cut & count seed (cpp --mode dp)")
+    ps.add_argument("--repeats", type=int, default=10, help="cut & count runs per budget (cpp --mode dp)")
     ps.add_argument("--decomposition", default=None, help="decomposition file to use as-is")
 
     pg = sub.add_parser("gen", help="emit a generated instance")

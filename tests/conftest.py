@@ -15,13 +15,6 @@ def random_graph(seed, n_lo=4, n_hi=9):
     return gnm_graph(n, m, seed * 7919 + 13)
 
 
-def joined_copies(g, u, v):
-    """Two copies of g side by side, u of the first joined to v of the
-    second by one edge."""
-    n = g.size
-    return Graph.from_edges(2 * n, g.edges() + [(x + n, y + n) for x, y in g.edges()] + [(u, v + n)])
-
-
 def all_graphs(n):
     """Every labeled graph on n vertices (2^C(n,2) of them)."""
     pairs = list(combinations(range(n), 2))

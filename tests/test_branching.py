@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from copack import branching, cutcount, decomp, graph as graphlib
+from copack import branching, graph as graphlib
 from copack.branching import (
     _REDUCTIONS,
     Instance,
@@ -13,7 +13,6 @@ from copack.branching import (
     _trivial_cut,
     branch_b1,
     branch_b2,
-    least_cpp_budget,
     reduce_cpcp,
     reduce_cpp,
     solve_cpcp,
@@ -30,7 +29,7 @@ from copack.graph import (
     swappable_vertices,
 )
 from copack.oracles import min_deletion_set, oracle_min, oracle_witness, verify
-from conftest import all_graphs, exact_decomposition_for, joined_copies, random_graph, shuffled
+from conftest import all_graphs, random_graph, shuffled
 
 
 def inst_of(g, k):
@@ -202,7 +201,7 @@ def test_swap_rule_keeps_oracle_minima(monkeypatch):
             mn = len(oracle_witness(g, problem))
             out = solve(g, g.alive_count, exact=True)
             assert out.size == mn, (t, problem, g.edges())
-            assert out.witness is None or verify(g, out.witness, problem), (t, problem)
+            assert verify(g, out.witness, problem), (t, problem)
             assert solve(g, mn).answer and not solve(g, mn - 1).answer, (t, problem, g.edges())
     assert min(fired.values()) >= 100, fired
 
@@ -453,10 +452,8 @@ def test_child_reductions_match_full_scans(monkeypatch):
             edges.add(tuple(sorted(rng.sample(range(n), 2))))
         graphs.append(Graph.from_edges(n, sorted(edges)))
     graphs += [gnm_graph(n, rng.randint(2 * n, 3 * n), s) for s, n in enumerate(range(14, 22, 2))]
-    solvers = (lambda g, k, exact=False: solve_cpcp(g, k, exact),
-               lambda g, k, exact=False: solve_cpp(g, k, seed=7, exact=exact))
     for g in graphs:
-        for solve in solvers:
+        for solve in (solve_cpcp, solve_cpp):
             mn = solve(g, g.alive_count, exact=True).size
             solve(g, mn)
             solve(g, mn - 1)
@@ -580,10 +577,10 @@ def test_solve_cpcp_examples():
 
 
 def test_solve_cpp_examples():
-    assert not solve_cpp(cycle_graph(7), 0, repeats=5, seed=1).answer
-    assert solve_cpp(cycle_graph(7), 1, repeats=10, seed=1).answer
+    assert not solve_cpp(cycle_graph(7), 0).answer
+    assert solve_cpp(cycle_graph(7), 1).answer
     k4 = complete_graph(4)
-    out = solve_cpp(k4, 2, repeats=10, seed=1)
+    out = solve_cpp(k4, 2)
     assert out.answer and out.size == len(out.witness) == 2 and verify(k4, out.witness, "cpp")
 
 
@@ -609,68 +606,10 @@ def test_oracle_equivalence_cpp(rng):
         g = random_graph(t + 9900, n_lo=4, n_hi=8)
         mn = oracle_min(g, "cpp")
         for k in range(g.alive_count + 1):
-            out = solve_cpp(g, k, repeats=12, seed=t * 31 + k)
-            assert not (out.answer and k < mn), "false positive"
-            assert not (not out.answer and k >= mn), (t, k, mn, g.edges())
-
-
-def test_cpp_leaves_draw_consecutive_seeds(monkeypatch):
-    """The i-th cut & count decision of a search gets derive_seed(seed, i),
-    whether it decides a leaf at the cap or one of a leaf's ascending budgets
-    in exact mode. With the cycle-branch cap at 0 every site where no step
-    applies and the cpcp floor leaves a cycle falls back to the cut & count
-    leaf, capped below the floor's incumbent; one the claw bound or the
-    floor refutes draws no seed. dp_calls counts the floor's deletion DPs
-    too."""
-    from copack.generators import proper_graph
-
-    # which cycles the deletion DP's witness leaves depends on the
-    # decomposition; these counts are pinned on the exact one
-    monkeypatch.setattr(decomp, "decomposition_for", exact_decomposition_for)
-    monkeypatch.setattr(branching, "CYCLE_NODES", 0)
-    # a proper graph the search hands to a leaf whole, whose cpp minimum is
-    # above its cpcp minimum; the floor's witness leaves one cycle
-    a = proper_graph(13, 66)
-    assert (oracle_min(a, "cpcp"), oracle_min(a, "cpp")) == (2, 3)
-    # two copies of a joined by an edge: floor 5, whose witness leaves two
-    # cycles, so the incumbent (7) leaves the leaf two budgets to climb
-    aa = joined_copies(a, 2, 8)
-    assert solve_cpcp(aa, 26, exact=True).size == 5
-    a_aa = disjoint_union(a, aa)
-    # the Petersen graph is cubic with a greedy claw packing of 1, so at
-    # k = 1 the guard (n3 = 10 > 4k) in the floor's leaf, not the claw
-    # bound, refutes it
-    petersen = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
-                                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)])
-    decisions = []
-    decide = cutcount.decide_cpp
-
-    def recording(g, k, events, repeats, seed):
-        decisions.append((g.alive_count, k, seed))
-        return decide(g, k, events, repeats, seed)
-
-    monkeypatch.setattr(cutcount, "decide_cpp", recording)
-    # (graph, k, exact, size found or None, whether a witness comes back,
-    # (dp_calls, guard_rejects, bound_prunes), the leaf and budget of each
-    # cut & count decision)
-    cases = (
-        (a, 2, False, None, False, (2, 0, 0), [(13, 2)]),
-        # cut & count refutes 2, below the incumbent, whose witness stands
-        (a, 13, True, 3, True, (2, 0, 0), [(13, 2)]),
-        (a, 0, False, None, False, (0, 0, 1), []),
-        (petersen, 1, False, None, False, (0, 1, 0), []),
-        (aa, 26, True, 6, False, (3, 0, 0), [(26, 5), (26, 6)]),
-        (a_aa, 39, True, 9, False, (5, 0, 0), [(13, 2), (26, 5), (26, 6)]),
-        (a_aa, 8, False, None, False, (5, 0, 0), [(13, 2), (26, 5)]),
-        (a_aa, 9, False, 9, False, (5, 0, 0), [(13, 2), (26, 6)]),
-    )
-    for g, k, exact, size, witnessed, leaves, budgets in cases:
-        decisions.clear()
-        out = solve_cpp(g, k, repeats=2, seed=7, exact=exact)
-        assert out.size == size and (out.witness is not None) == witnessed, (k, exact)
-        assert (out.stats.dp_calls, out.stats.guard_rejects, out.stats.bound_prunes) == leaves, (k, exact)
-        assert out.stats.cc_calls == len(budgets)
-        assert decisions == [(n, kk, cutcount.derive_seed(7, i)) for i, (n, kk) in enumerate(budgets)]
+            out = solve_cpp(g, k)
+            assert out.answer == (k >= mn), (t, k, mn, g.edges())
+            if out.answer:
+                assert len(out.witness) <= k and verify(g, out.witness, "cpp")
 
 
 def test_branch_sets_are_exhaustive(rng):
@@ -869,6 +808,7 @@ def test_cpp_search_matches_whole_graph_route_past_oracle():
     decomposition, then cut & count from it. planted(20 + s, 2 + s // 6,
     s + 40) for s < 24, whose reductions contract chains before the leaves."""
     from copack.bdd import bdd_dp_solve
+    from copack.cli import least_cpp_budget
     from copack.decomp import decomposition_for, to_nice
 
     reductions = 0
@@ -916,8 +856,9 @@ def test_component_unions_match_oracle():
                 branched += below.stats.nodes >= 2
                 below = below.answer
             else:
-                assert solve_cpp(g, mn, repeats=12, seed=t).answer, (t, g.edges())
-                below = solve_cpp(g, mn - 1, repeats=12, seed=t).answer
+                out = solve_cpp(g, mn)
+                assert out.answer and len(out.witness) <= mn and verify(g, out.witness, "cpp"), (t, g.edges())
+                below = solve_cpp(g, mn - 1).answer
             assert not below, (t, problem, mn, g.edges())
             checked += mn > 0
     assert checked >= 150 and branched >= 10, (checked, branched)
@@ -963,7 +904,7 @@ def test_claw_bound_changes_no_answer_past_oracle(monkeypatch):
     witness verifies."""
     cases = [(n, k, s) for s, n in enumerate(range(40, 160, 10)) for k in (n // 20, n // 12)]
     solvers = (("cpcp", lambda g, k, s, exact=False: solve_cpcp(g, k, exact)),
-               ("cpp", lambda g, k, s, exact=False: solve_cpp(g, k, seed=s, exact=exact)))
+               ("cpp", lambda g, k, s, exact=False: solve_cpp(g, k, exact)))
     claw_packing = graphlib.claw_packing
     read = {}
     prunes = 0
@@ -974,8 +915,8 @@ def test_claw_bound_changes_no_answer_past_oracle(monkeypatch):
             for problem, solve in solvers:
                 exact = solve(g, g.alive_count, s, exact=True)
                 outs = [exact, solve(g, exact.size, s), solve(g, exact.size - 1, s)]
-                for out in outs:
-                    assert out.witness is None or len(out.witness) == out.size and verify(g, out.witness, problem)
+                for out in outs[:2]:
+                    assert len(out.witness) == out.size and verify(g, out.witness, problem)
                 read.setdefault((n, k, s, problem), []).append((exact.size, [out.answer for out in outs]))
                 prunes += sum(out.stats.bound_prunes for out in outs)
     for key, (shipped, unpruned) in read.items():
@@ -996,8 +937,7 @@ def test_claw_bound_settles_p200_cpp():
 def test_cpp_floor_search_matches_oracle():
     """600 seeded gnm and proper graphs of 5-13 vertices: the exact cpp
     search reads the oracle's minimum, decisions at the minimum and one
-    below agree with it, and every yes carries a verified witness, with no
-    cut & count decision. Over 100 of the graphs have a cpp minimum above
+    below agree with it, and every yes carries a verified witness. Over 100 of the graphs have a cpp minimum above
     their cpcp floor, so the cycle branch decides them."""
     from copack.generators import proper_graph
 
@@ -1012,7 +952,6 @@ def test_cpp_floor_search_matches_oracle():
             assert [out.answer for out in outs] == [True, True, False] and outs[0].size == mn, (t, g.edges())
             for out in outs[:2]:
                 assert len(out.witness) == out.size <= mn and verify(g, out.witness, "cpp"), (t, g.edges())
-            assert sum(out.stats.cc_calls for out in outs) == 0, (t, g.edges())
     assert above >= 100, above
 
 
@@ -1020,8 +959,7 @@ def test_cpp_branches_on_a_cycle_the_floor_leaves(monkeypatch):
     """proper(13, 66) is proper, so no paper step applies, and its cpcp
     floor 2 leaves the 6-cycle 1-2-4-5-9-10: the search branches once, one
     child per vertex of that cycle, and settles the cpp minimum 3 with a
-    witness. With the cycle-branch cap at 0 the cut & count leaf decides it
-    instead. On K8 a step applies and no edge joins two degree-<=2
+    witness. On K8 a step applies and no edge joins two degree-<=2
     vertices, so the floor never runs."""
     from copack.generators import proper_graph
 
@@ -1034,19 +972,15 @@ def test_cpp_branches_on_a_cycle_the_floor_leaves(monkeypatch):
         rules.append((rule, sorted(v for ch in children for v in ch)))
         return shipped(rule, children)
 
-    def counted(self, inst, exact, cycle_nodes=None):
+    def counted(self, inst, exact):
         floors.append(self.problem == "cpcp")
-        return node(self, inst, exact, cycle_nodes)
+        return node(self, inst, exact)
 
     monkeypatch.setattr(branching, "BranchSet", recorded)
     monkeypatch.setattr(branching._Search, "node", counted)
     out = solve_cpp(g, 13, exact=True)
     assert out.size == 3 and len(out.witness) == 3 and verify(g, out.witness, "cpp")
-    assert rules == [("cycle", [1, 2, 4, 5, 9, 10])] and out.stats.nodes >= 1 and out.stats.cc_calls == 0
-    monkeypatch.setattr(branching, "CYCLE_NODES", 0)
-    rules.clear()
-    out = solve_cpp(g, 2)
-    assert not out.answer and rules == [] and out.stats.cc_calls > 0
+    assert rules == [("cycle", [1, 2, 4, 5, 9, 10])] and out.stats.nodes >= 1
     floors.clear()
     out = solve_cpp(complete_graph(8), 8, exact=True)
     assert out.size == 6 and out.stats.nodes > 0 and floors and not any(floors)

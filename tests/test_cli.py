@@ -7,7 +7,7 @@ from copack.decomp import parse_decomposition
 from copack.dimacs import parse_graph, write_graph
 from copack.errors import GraphFormatError
 from copack.generators import gnm_graph
-from conftest import exact_decomposition_for, joined_copies, random_graph
+from conftest import random_graph
 
 
 def test_parse_graph_examples():
@@ -208,10 +208,10 @@ def test_cpcp_optimize_without_edges(tmp_path, capsys):
 
 def test_cpp_optimize_auto_matches_dp_past_oracle(tmp_path):
     """cpp --optimize: the search, whose components settle on the cpcp
-    floor, branch on a cycle its witness leaves or fall back to cut & count,
-    and cut & count on the whole graph climbing from the deletion DP's
-    minimum find the same minimum; every witness the search prints
-    verifies at that size, and up to 14 vertices the oracle agrees.
+    floor or branch on a cycle its witness leaves, and cut & count on the
+    whole graph climbing from the deletion DP's minimum find the same
+    minimum; the search prints a witness that verifies at that size on
+    every graph, and up to 14 vertices the oracle agrees.
     A whole-graph cut & count DP costs 5^width per bag, so graphs whose
     decomposition is wider than 5 are left out."""
     from copack.decomp import decomposition_for, to_nice
@@ -224,7 +224,7 @@ def test_cpp_optimize_auto_matches_dp_past_oracle(tmp_path):
     # proper graphs whose cpp minimum is above their cpcp minimum
     graphs += [proper_graph(13, 66), proper_graph(16, 110), proper_graph(17, 3)]
     f = tmp_path / "g.gr"
-    checked = witnessed = leaves = 0
+    checked = solved = leaves = 0
     for seed, g in enumerate(graphs):
         if to_nice(decomposition_for(g)).width > 5:
             continue
@@ -235,15 +235,12 @@ def test_cpp_optimize_auto_matches_dp_past_oracle(tmp_path):
         assert mn == dp["min_size"], (seed, g.edges(), auto, dp)
         if g.alive_count <= ORACLE_LIMIT:
             assert mn == oracle_min(g, "cpp"), (seed, g.edges())
-        if "witness" in auto:
-            wit = {int(v) for v in auto["witness"].split(",") if v}
-            assert len(wit) == mn and verify(g, wit, "cpp"), (seed, g.edges())
-            witnessed += 1
-        else:
-            assert auto["cc_calls"] > 0, (seed, g.edges())
+        wit = {int(v) for v in auto["witness"].split(",") if v}
+        assert len(wit) == mn and verify(g, wit, "cpp"), (seed, g.edges())
+        solved += 1
         checked += g.alive_count > ORACLE_LIMIT
         leaves += auto["dp_calls"]
-    assert checked >= 30 and witnessed >= 30 and leaves >= 40, (checked, witnessed, leaves)
+    assert checked >= 30 and solved >= 30 and leaves >= 40, (checked, solved, leaves)
 
 
 def test_cpp_optimize_auto_matches_dp_up_to_100_vertices(tmp_path):
@@ -564,53 +561,18 @@ def test_huge_header_is_refused_before_allocating(tmp_path):
     assert main(["solve", "--problem", "cpcp", "-k", "1", str(f)]) == 2
 
 
-def test_cpp_fail_bound_sums_every_leaf_decision(tmp_path, monkeypatch):
-    """Two disjoint proper components whose cpcp floor leaves a cycle, with
-    the cycle-branch cap at 0 so both fall back to the cut & count leaf: the
-    exact search makes cut & count decisions in both, counted in cc_calls,
-    and the bound is taken over every one of them. A record with no cut &
-    count decision prints a bound of 0."""
-    from copack import branching, cutcount, decomp
-    from copack.generators import proper_graph
-    from copack.graph import Graph
-
-    # which cycles the deletion DP's witness leaves depends on the
-    # decomposition; these counts are pinned on the exact one
-    monkeypatch.setattr(decomp, "decomposition_for", exact_decomposition_for)
-    monkeypatch.setattr(branching, "CYCLE_NODES", 0)
-    # a, and two copies of a joined by the edge (2, 21): cpp minima 3 and 6
-    a = proper_graph(13, 66)
-    edges = a.edges() + [(u + 13, v + 13) for u, v in joined_copies(a, 2, 8).edges()]
-    f = tmp_path / "g.gr"
-    f.write_text(write_graph(Graph.from_edges(39, edges)))
-    decisions = []
-    decide = cutcount.decide_cpp
-
-    def counted(*args):
-        decisions.append(args)
-        return decide(*args)
-
-    monkeypatch.setattr(cutcount, "decide_cpp", counted)
-    rec, code = command_solve(RunConfig(problem="cpp", optimize=True, repeats=4), str(f))
-    assert code == 0 and rec["min_size"] == 9 and "witness" not in rec
-    # each component's floor runs one deletion DP and its fallback leaf one
-    assert rec["dp_calls"] == 5 and rec["cc_calls"] == len(decisions) == 3
-    assert rec["fail_bound"] == "%.3g" % (3 * (1.0 / 3.0) ** 4)
-    f.write_text(write_graph(proper_graph(14, 1)))
-    rec, code = command_solve(RunConfig(problem="cpp", optimize=True, repeats=4), str(f))
-    assert code == 0 and rec["cc_calls"] == 0 and rec["fail_bound"] == "0" and "witness" in rec
-
-
 def test_dp_mode_cpp_optimize_climbs_from_the_deletion_minimum(tmp_path, monkeypatch):
     """cpp --mode dp decomposes once and runs the deletion DP once; its
     cut & count decisions climb from the DP's minimum, which also refutes
-    any smaller k without a cut & count decision."""
+    any smaller k without a cut & count decision. Under --seed s the i-th
+    decision draws derive_seed(s, i), and fail_bound is the union bound
+    cc_calls * (1/3)^repeats over them, 0 when none ran."""
     import copack.cli
     from copack import cutcount
     from copack.generators import proper_graph
 
     calls = {"decomposition_for": 0, "bdd_dp_solve": 0}
-    budgets = []
+    budgets, seeds = [], []
 
     def counted(name, fn):
         def run(*args):
@@ -622,9 +584,10 @@ def test_dp_mode_cpp_optimize_climbs_from_the_deletion_minimum(tmp_path, monkeyp
         monkeypatch.setattr(copack.cli, name, counted(name, getattr(copack.cli, name)))
     decide = cutcount.decide_cpp
 
-    def recording(g, k, *args):
+    def recording(g, k, events, repeats, seed):
         budgets.append(k)
-        return decide(g, k, *args)
+        seeds.append(seed)
+        return decide(g, k, events, repeats, seed)
 
     monkeypatch.setattr(cutcount, "decide_cpp", recording)
     f = tmp_path / "g.gr"
@@ -634,12 +597,15 @@ def test_dp_mode_cpp_optimize_climbs_from_the_deletion_minimum(tmp_path, monkeyp
         for name in calls:
             calls[name] = 0
         budgets.clear()
-        rec, code = command_solve(RunConfig(problem="cpp", optimize=True, mode="dp"), str(f))
+        seeds.clear()
+        rec, code = command_solve(RunConfig(problem="cpp", optimize=True, mode="dp", seed=5, repeats=4), str(f))
         assert code == 0 and rec["min_size"] == mn and "witness" not in rec
         assert calls == {"decomposition_for": 1, "bdd_dp_solve": 1} and rec["dp_calls"] == 1
         assert budgets == list(range(floor, mn + 1)) and rec["cc_calls"] == len(budgets)
+        assert seeds == [cutcount.derive_seed(5, i) for i in range(len(budgets))]
+        assert rec["fail_bound"] == "%.3g" % (len(budgets) * (1.0 / 3.0) ** 4) != "0"
         # a no spends every repeat, the yes at the minimum at least one
-        assert 10 * (mn - floor) < rec["repeats"] <= 10 * (mn - floor + 1)
+        assert 4 * (mn - floor) < rec["repeats"] <= 4 * (mn - floor + 1)
         budgets.clear()
         rec, code = command_solve(RunConfig(problem="cpp", k=floor - 1, mode="dp"), str(f))
         assert code == 1 and budgets == [] and rec["cc_calls"] == 0 and rec["fail_bound"] == "0"
@@ -700,13 +666,10 @@ def test_connected_chain_search_stays_off_the_stack(tmp_path, capsys):
 
 def test_cpcp_optimize_is_one_exact_search(tmp_path, monkeypatch):
     """cpcp and cpp --optimize in auto mode run the search once, in exact
-    mode, and print the minimum the oracle or the whole-graph route finds.
-    A printed witness verifies and has that size: cpcp always prints one,
-    cpp unless a cut & count leaf is in the search's solution. Here every
-    cpp solve settles without one; with the cycle-branch cap at 0 the
-    joined pair of proper(13, 66) ends in cut & count and prints none."""
+    mode, and print the minimum the oracle or the whole-graph route finds,
+    with a witness of that size that verifies. No auto record prints a
+    fail_bound: the search makes no cut & count decision."""
     import copack.cli
-    from copack import branching
     from copack.generators import planted_graph, proper_graph
     from copack.oracles import verify
 
@@ -721,7 +684,6 @@ def test_cpcp_optimize_is_one_exact_search(tmp_path, monkeypatch):
     for name in ("solve_cpcp", "solve_cpp"):
         monkeypatch.setattr(copack.cli, name, counted(getattr(copack.cli, name)))
     f = tmp_path / "g.gr"
-    witnesses = {"cpcp": 0, "cpp": 0}
     for g in (gnm_graph(12, 22, seed=4), proper_graph(13, 66), planted_graph(30, 4, 0), planted_graph(48, 6, 1)):
         f.write_text(write_graph(g))
         # the oracle up to its 14 vertices, the whole-graph route past them
@@ -730,22 +692,9 @@ def test_cpcp_optimize_is_one_exact_search(tmp_path, monkeypatch):
             mn = command_solve(RunConfig(problem=problem, optimize=True, mode=mode), str(f))[0]["min_size"]
             calls.clear()
             rec, code = command_solve(RunConfig(problem=problem, optimize=True), str(f))
-            assert code == 0 and calls == [True] and rec["min_size"] == mn
-            assert ("fail_bound" in rec) == (problem == "cpp")
-            if "witness" in rec:
-                wit = {int(v) for v in rec["witness"].split(",") if v}
-                assert len(wit) == mn and verify(g, wit, problem), (problem, g.edges())
-                witnesses[problem] += 1
-            else:
-                assert problem == "cpp" and rec["cc_calls"] > 0
-    assert witnesses == {"cpcp": 4, "cpp": 4}
-    f.write_text(write_graph(joined_copies(proper_graph(13, 66), 2, 8)))
-    mn = command_solve(RunConfig(problem="cpp", optimize=True, mode="dp"), str(f))[0]["min_size"]
-    monkeypatch.setattr(branching, "CYCLE_NODES", 0)
-    calls.clear()
-    rec, code = command_solve(RunConfig(problem="cpp", optimize=True), str(f))
-    assert code == 0 and calls == [True] and rec["min_size"] == mn == 6
-    assert "witness" not in rec and rec["cc_calls"] > 0
+            assert code == 0 and calls == [True] and rec["min_size"] == mn and "fail_bound" not in rec
+            wit = {int(v) for v in rec["witness"].split(",") if v}
+            assert len(wit) == mn and verify(g, wit, problem), (problem, g.edges())
 
 
 def test_cli_import_leaves_numpy_out():
