@@ -612,6 +612,46 @@ def test_oracle_equivalence_cpp(rng):
                 assert len(out.witness) <= k and verify(g, out.witness, "cpp")
 
 
+def test_cpp_leaves_draw_consecutive_seeds(monkeypatch):
+    """The i-th cut & count decision of a solve draws derive_seed(seed, i):
+    climbs that share one SolveStats continue each other's seed count, a
+    climb that finds no budget spends its decisions too, and the exact cpp
+    search draws no seed at all."""
+    from copack import cutcount
+    from copack.bdd import bdd_dp_solve
+    from copack.cli import least_cpp_budget
+    from copack.decomp import decomposition_for, to_nice
+    from copack.generators import proper_graph
+
+    decisions = []
+    decide = cutcount.decide_cpp
+
+    def recording(g, k, events, repeats, seed):
+        decisions.append((g.alive_count, k, seed))
+        return decide(g, k, events, repeats, seed)
+
+    monkeypatch.setattr(cutcount, "decide_cpp", recording)
+    # (graph, cpcp minimum, cpp minimum)
+    leaves = ((proper_graph(13, 66), 2, 3), (gnm_graph(16, 34, seed=2), 6, 7))
+    stats = SolveStats()
+    budgets = []
+    for g, floor, mn in leaves:
+        events = to_nice(decomposition_for(g))
+        assert bdd_dp_solve(g, events, 2)[0] == floor
+        assert least_cpp_budget(g, floor, g.alive_count, events, 4, 7, stats) == mn
+        budgets += [(g.alive_count, k) for k in range(floor, mn + 1)]
+    g, floor, mn = leaves[0]
+    assert least_cpp_budget(g, floor, mn - 1, to_nice(decomposition_for(g)), 4, 7, stats) is None
+    budgets += [(g.alive_count, k) for k in range(floor, mn)]
+    assert stats.cc_calls == len(budgets)
+    assert decisions == [(n, k, cutcount.derive_seed(7, i)) for i, (n, k) in enumerate(budgets)]
+    decisions.clear()
+    for g, floor, mn in leaves:
+        out = solve_cpp(g, g.alive_count, exact=True)
+        assert out.size == mn and verify(g, out.witness, "cpp")
+    assert decisions == []
+
+
 def test_branch_sets_are_exhaustive(rng):
     """Whenever a step fires on a yes-instance, some child stays a yes."""
     fired = 0

@@ -561,18 +561,48 @@ def test_huge_header_is_refused_before_allocating(tmp_path):
     assert main(["solve", "--problem", "cpcp", "-k", "1", str(f)]) == 2
 
 
+def test_cpp_fail_bound_sums_every_leaf_decision(tmp_path, monkeypatch):
+    """cpp --mode dp prints fail_bound, the union bound
+    cc_calls * (1/3)^repeats over every cut & count decision of the climb,
+    and 0 when the deletion DP refutes k without one. Auto mode makes no
+    cut & count decision and prints no bound."""
+    from copack import cutcount
+    from copack.generators import proper_graph
+
+    decisions = []
+    decide = cutcount.decide_cpp
+
+    def counted(*args):
+        decisions.append(args)
+        return decide(*args)
+
+    monkeypatch.setattr(cutcount, "decide_cpp", counted)
+    f = tmp_path / "g.gr"
+    # (graph, cpcp minimum, cpp minimum)
+    for g, floor, mn in ((gnm_graph(16, 34, seed=2), 6, 7), (proper_graph(13, 66), 2, 3)):
+        f.write_text(write_graph(g))
+        decisions.clear()
+        rec, code = command_solve(RunConfig(problem="cpp", optimize=True, mode="dp", repeats=4), str(f))
+        assert code == 0 and rec["min_size"] == mn
+        assert rec["cc_calls"] == len(decisions) == mn - floor + 1
+        assert rec["fail_bound"] == "%.3g" % (len(decisions) * (1.0 / 3.0) ** 4) != "0"
+        decisions.clear()
+        rec, code = command_solve(RunConfig(problem="cpp", k=floor - 1, mode="dp", repeats=4), str(f))
+        assert code == 1 and decisions == [] and rec["fail_bound"] == "0"
+        rec, code = command_solve(RunConfig(problem="cpp", optimize=True, repeats=4), str(f))
+        assert code == 0 and rec["min_size"] == mn and decisions == [] and "fail_bound" not in rec
+
+
 def test_dp_mode_cpp_optimize_climbs_from_the_deletion_minimum(tmp_path, monkeypatch):
     """cpp --mode dp decomposes once and runs the deletion DP once; its
     cut & count decisions climb from the DP's minimum, which also refutes
-    any smaller k without a cut & count decision. Under --seed s the i-th
-    decision draws derive_seed(s, i), and fail_bound is the union bound
-    cc_calls * (1/3)^repeats over them, 0 when none ran."""
+    any smaller k without a cut & count decision."""
     import copack.cli
     from copack import cutcount
     from copack.generators import proper_graph
 
     calls = {"decomposition_for": 0, "bdd_dp_solve": 0}
-    budgets, seeds = [], []
+    budgets = []
 
     def counted(name, fn):
         def run(*args):
@@ -584,10 +614,9 @@ def test_dp_mode_cpp_optimize_climbs_from_the_deletion_minimum(tmp_path, monkeyp
         monkeypatch.setattr(copack.cli, name, counted(name, getattr(copack.cli, name)))
     decide = cutcount.decide_cpp
 
-    def recording(g, k, events, repeats, seed):
+    def recording(g, k, *args):
         budgets.append(k)
-        seeds.append(seed)
-        return decide(g, k, events, repeats, seed)
+        return decide(g, k, *args)
 
     monkeypatch.setattr(cutcount, "decide_cpp", recording)
     f = tmp_path / "g.gr"
@@ -597,15 +626,12 @@ def test_dp_mode_cpp_optimize_climbs_from_the_deletion_minimum(tmp_path, monkeyp
         for name in calls:
             calls[name] = 0
         budgets.clear()
-        seeds.clear()
-        rec, code = command_solve(RunConfig(problem="cpp", optimize=True, mode="dp", seed=5, repeats=4), str(f))
+        rec, code = command_solve(RunConfig(problem="cpp", optimize=True, mode="dp"), str(f))
         assert code == 0 and rec["min_size"] == mn and "witness" not in rec
         assert calls == {"decomposition_for": 1, "bdd_dp_solve": 1} and rec["dp_calls"] == 1
         assert budgets == list(range(floor, mn + 1)) and rec["cc_calls"] == len(budgets)
-        assert seeds == [cutcount.derive_seed(5, i) for i in range(len(budgets))]
-        assert rec["fail_bound"] == "%.3g" % (len(budgets) * (1.0 / 3.0) ** 4) != "0"
         # a no spends every repeat, the yes at the minimum at least one
-        assert 4 * (mn - floor) < rec["repeats"] <= 4 * (mn - floor + 1)
+        assert 10 * (mn - floor) < rec["repeats"] <= 10 * (mn - floor + 1)
         budgets.clear()
         rec, code = command_solve(RunConfig(problem="cpp", k=floor - 1, mode="dp"), str(f))
         assert code == 1 and budgets == [] and rec["cc_calls"] == 0 and rec["fail_bound"] == "0"
