@@ -50,14 +50,14 @@ class RunConfig:
             raise ValueError("need exactly one of -k and --optimize")
         if self.k is not None and self.k < 0:
             raise ValueError("k must be >= 0")
-        if self.decomposition and not (self.mode == "dp" or (self.problem == "bdd" and self.mode == "auto")):
+        if self.decomposition and not self.dp_route:
             raise ValueError("--decomposition needs --mode dp, or bdd outside oracle mode")
 
     @property
-    def whole_dp(self) -> bool:
-        """Whether the route runs the leaf DP on one decomposition of the
-        whole graph: --mode dp, and bdd given --decomposition."""
-        return self.mode == "dp" or (self.problem == "bdd" and self.decomposition is not None)
+    def dp_route(self) -> bool:
+        """Whether the solve runs the deletion DP on one decomposition:
+        --mode dp, and bdd in auto mode."""
+        return self.mode == "dp" or (self.problem == "bdd" and self.mode == "auto")
 
 
 # Step recurrences: decrement multisets whose largest roots the analysis
@@ -97,7 +97,10 @@ def command_factors():
     return rows
 
 
-def _events_for(g: Graph, cfg: RunConfig):
+def _events_for(g: Graph, h: Graph, cfg: RunConfig):
+    """The nice events of the supplied decomposition, validated against g,
+    or of `decomposition_for(h)`. h is g or a subgraph of g on the same
+    vertices, so a decomposition of g is also one of h."""
     if cfg.decomposition:
         with open(cfg.decomposition) as fh:
             pd = parse_decomposition(fh.read())
@@ -107,29 +110,8 @@ def _events_for(g: Graph, cfg: RunConfig):
             raise ValueError("supplied decomposition invalid: %s"
                              % Violation(bad.prop, tuple(v + 1 for v in bad.witness)))
     else:
-        pd = decomposition_for(g)
+        pd = decomposition_for(h)
     return to_nice(pd)
-
-
-def _bdd_leaves(g: Graph, d: int, stats: SolveStats) -> tuple[int, set[int]]:
-    """(minimum, witness) of bdd from one deletion DP per leaf: drop every
-    edge whose ends both have degree <= d, then solve each component left
-    with a vertex of degree > d. Such an edge can push no degree past d, and
-    a vertex of degree > d keeps all its edges, so every deletion set keeps
-    its verdict and the leaves' minima add up."""
-    h = g.copy()
-    for u, v in low_degree_edges(h, d=d) or ():
-        h.remove_edge(u, v)
-    mn, wit = 0, set()
-    for leaf in h.split():
-        if not leaf.max_degree_at_most(d):
-            events = to_nice(decomposition_for(leaf))
-            stats.dp_calls += 1
-            stats.width = max(stats.width, events.width)
-            size, part = bdd_dp_solve(leaf, events, d)
-            mn += size
-            wit |= part
-    return mn, wit
 
 
 def least_cpp_budget(g: Graph, lo: int, cap: int, events, repeats: int, seed: int,
@@ -150,27 +132,35 @@ def least_cpp_budget(g: Graph, lo: int, cap: int, events, repeats: int, seed: in
 def _solve_decision(g: Graph, cfg: RunConfig):
     """The one solve of a run, at budget -k or, exact under --optimize, at
     the vertex count: (answer, witness or None, the minimum or None, its
-    SolveStats). On a whole-graph route the deletion DP runs on the graph's
-    decomposition; bdd in auto mode runs it on the leaves `_bdd_leaves`
-    splits off. A witness must verify, or the solver is at fault."""
+    SolveStats). The DP route runs the deletion DP once, on g or, for bdd
+    in auto mode, on g without its low-degree edges. A witness must verify
+    on g, or the solver is at fault."""
     k = g.alive_count if cfg.optimize else cfg.k
     stats = SolveStats()
     if cfg.mode == "oracle":
         wit = oracle_witness(g, cfg.problem, cfg.d)
         mn = len(wit)
-    elif cfg.whole_dp:
-        events = _events_for(g, cfg)
+    elif cfg.dp_route:
+        h = g
+        if cfg.mode == "auto":
+            # only bdd takes this route in auto mode. An edge whose ends both
+            # have degree <= d raises no degree past d, and a vertex of degree
+            # > d keeps all its edges, so every deletion set keeps its verdict
+            # without them. The components they split off meet in empty bags,
+            # where the DP's minima add up
+            h = g.copy()
+            for u, v in low_degree_edges(h, d=cfg.d) or ():
+                h.remove_edge(u, v)
+        events = _events_for(g, h, cfg)
         stats.dp_calls += 1
         stats.width = events.width
-        mn, wit = bdd_dp_solve(g, events, problem_bounds(cfg.problem, cfg.d)[0])
+        mn, wit = bdd_dp_solve(h, events, problem_bounds(cfg.problem, cfg.d)[0])
         if cfg.problem == "cpp":
             # the deletion DP's minimum is a floor on cpp's: under --optimize
             # cut & count climbs from it, and it refutes any k below it
             found = least_cpp_budget(g, mn if cfg.optimize else max(mn, k), k, events,
                                      cfg.repeats, cfg.seed, stats)
             return found is not None, None, (found if cfg.optimize else None), stats
-    elif cfg.problem == "bdd":
-        mn, wit = _bdd_leaves(g, cfg.d, stats)
     else:
         out = (solve_cpp if cfg.problem == "cpp" else solve_cpcp)(g, k, cfg.optimize)
         # the search verifies every witness it returns

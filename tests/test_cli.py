@@ -180,7 +180,7 @@ def test_decomposition_needs_a_whole_graph_route(tmp_path, capsys):
                   ["--problem", "bdd", "--d", "1", "-k", "0", "--mode", "oracle"]):
         assert main(["solve", str(f)] + route + pd) == 2
         assert "--decomposition needs" in capsys.readouterr().err
-    # the whole-graph DP routes read the file, which here is missing
+    # the DP routes read the file, which here is missing
     for route in (["--problem", "cpcp", "-k", "0", "--mode", "dp"],
                   ["--problem", "bdd", "--d", "1", "-k", "0"]):
         assert main(["solve", str(f)] + route + pd) == 2
@@ -473,9 +473,10 @@ def test_cpp_solves_a_planted_graph_of_220_vertices(tmp_path, capsys):
 
 
 def test_bdd_optimize_on_a_planted_graph_of_220_vertices(tmp_path, capsys):
-    """One deletion DP over a greedy decomposition of width 11 per d. With
-    every reachable labelling kept, these took 5-35 s and up to 208 MB; with
-    dominated labellings dropped, well under a second each."""
+    """One deletion DP per d, on the graph without its low-degree edges
+    (width 10 at d = 1). With every reachable labelling kept, the DP on the
+    whole graph's greedy decomposition of width 11 took 5-35 s and up to
+    208 MB; with dominated labellings dropped, well under a second each."""
     from copack.oracles import verify
 
     assert main(["gen", "planted", "--forest-n", "200", "--k", "20", "--seed", "3"]) == 0
@@ -770,19 +771,36 @@ def theta_graph(chains):
     return Graph.from_edges(n, edges)
 
 
-def test_bdd_auto_splits_on_low_degree_edges(tmp_path):
+def record_dp_graphs(monkeypatch):
+    """A list that gets each graph the CLI hands `bdd_dp_solve`."""
+    import copack.cli
+
+    handed = []
+    dp = copack.cli.bdd_dp_solve
+
+    def recording(h, *args):
+        handed.append(h)
+        return dp(h, *args)
+
+    monkeypatch.setattr(copack.cli, "bdd_dp_solve", recording)
+    return handed
+
+
+def test_bdd_auto_splits_on_low_degree_edges(tmp_path, monkeypatch):
     """bdd in auto mode drops every edge whose ends both have degree <= d
-    and runs one deletion DP per component left with a vertex of degree
-    > d. At d = 0-3 its minimum equals the whole-graph DP's (--mode dp) on
-    gnm, proper, planted, theta and subdivided graphs, and the oracle's up
-    to 14 vertices; past the oracle (20 to 100 vertices) it is checked against
-    --mode dp alone. Every witness verifies on the whole graph. The rule
-    must split graphs: the leaves it adds beyond one per component with a
-    vertex of degree > d number at least 30 within the oracle's reach and
-    120 past it (39 and 151 on these seeds)."""
+    and runs one deletion DP on what is left. At d = 0-3 its minimum equals
+    the whole-graph DP's (--mode dp) on gnm, proper, planted, theta and
+    subdivided graphs, and the oracle's up to 14 vertices; past the oracle
+    (20 to 100 vertices) it is checked against --mode dp alone. Every
+    witness verifies on the whole graph, and --mode dp hands the DP every
+    edge. The rule must split graphs: the components with an edge in the
+    graph the DP gets, beyond one per component of the input with a vertex
+    of degree > d, number at least 30 within the oracle's reach and 120
+    past it (39 and 151 on these seeds)."""
     from copack.generators import planted_graph, proper_graph
     from copack.oracles import oracle_min, verify
 
+    handed = record_dp_graphs(monkeypatch)
     rng = random.Random(2701)
     f = tmp_path / "g.gr"
     added = {True: 0, False: 0}  # by whether the oracle checks the graph
@@ -802,6 +820,7 @@ def test_bdd_auto_splits_on_low_degree_edges(tmp_path):
             g = subdivided_graph(n // 3, n // 3 + rng.randint(0, 3), t)
         f.write_text(write_graph(g))
         for d in (0, 1, 2, 3):
+            handed.clear()
             auto, code = command_solve(RunConfig(problem="bdd", d=d, optimize=True), str(f))
             whole, _ = command_solve(RunConfig(problem="bdd", d=d, optimize=True, mode="dp"), str(f))
             wit = {int(v) for v in auto["witness"].split(",") if v}
@@ -809,7 +828,48 @@ def test_bdd_auto_splits_on_low_degree_edges(tmp_path):
             assert verify(g, wit, "bdd", d), (t, d)
             if small:
                 assert auto["min_size"] == oracle_min(g, "bdd", d), (t, d)
+            h, whole_h = handed
+            assert auto["dp_calls"] == 1 and whole_h.edges() == g.edges(), (t, d)
             high = sum(1 for c in g.components() if any(g.degree(v) > d for v in c))
-            assert auto["dp_calls"] >= high
-            added[small] += auto["dp_calls"] - high
+            leaves = sum(1 for c in h.components() if any(h.degree(v) for v in c))
+            assert leaves >= high
+            added[small] += leaves - high
     assert added[True] >= 30 and added[False] >= 120, added
+
+
+def test_bdd_auto_with_a_decomposition_drops_low_degree_edges(tmp_path, monkeypatch, capsys):
+    """bdd in auto mode given --decomposition validates the file against
+    the input graph and runs the DP on the graph without its low-degree
+    edges, at --mode dp's minimum. A file whose one fault is a missing bag
+    for an edge the rule drops still exits 2 naming P2."""
+    from copack.decomp import PathDecomposition, decomposition_for, write_decomposition
+    from copack.graph import Graph, low_degree_edges
+    from copack.oracles import verify
+
+    handed = record_dp_graphs(monkeypatch)
+    # two triangles joined at 2 and 3: at d = 2 the rule drops (0, 1) and
+    # (4, 5), whose ends have degree 2, and keeps the degree-3 ends' edges
+    g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
+    gf, df = tmp_path / "g.gr", tmp_path / "g.pd"
+    gf.write_text(write_graph(g))
+    df.write_text(write_decomposition(decomposition_for(g)))
+    for d, mn in ((0, 4), (1, 2), (2, 1), (3, 0)):
+        dropped = set(low_degree_edges(g, d=d) or ())
+        recs = []
+        for mode in ("auto", "dp"):
+            handed.clear()
+            rec, code = command_solve(RunConfig(problem="bdd", d=d, optimize=True, mode=mode,
+                                                decomposition=str(df)), str(gf))
+            (h,) = handed
+            assert code == 0 and rec["dp_calls"] == 1, (d, mode)
+            assert set(h.edges()) == set(g.edges()) - (dropped if mode == "auto" else set()), (d, mode)
+            assert h.alive_count == g.alive_count, (d, mode)
+            recs.append(rec)
+        assert recs[0]["min_size"] == recs[1]["min_size"] == mn, d
+        wit = {int(v) for v in recs[0]["witness"].split(",") if v}
+        assert len(wit) == mn and verify(g, wit, "bdd", d), d
+    assert low_degree_edges(g, d=2) == [(0, 1), (4, 5)]
+    # a decomposition of g without (0, 1): its one fault is that edge's bag
+    df.write_text(write_decomposition(PathDecomposition([{0, 2}, {1, 2}, {2, 3}, {3, 4, 5}])))
+    assert main(["solve", "--problem", "bdd", "--d", "2", "--optimize", "--decomposition", str(df), str(gf)]) == 2
+    assert capsys.readouterr().err == "error: supplied decomposition invalid: P2 fails at edge (1, 2)\n"
