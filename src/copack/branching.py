@@ -9,9 +9,12 @@ packing is a path/cycle packing, so for cpp an exact cpcp search of the
 component gives a floor: it refutes the component, settles it when its
 witness leaves no cycle, and otherwise, where no step applies, the
 component branches on the shortest cycle that witness leaves, which every
-solution must hit. Besides deleting trivial components, cpcp reduces with
-three local rules and cpp with two: the contraction of a degree-2 vertex
-whose neighbors both have degree <= 2, and for both the deletion of each
+solution must hit. Besides deleting trivial components, each small one at
+the cost a bounded table keyed by its shape holds, cpcp reduces with three
+local rules and cpp with two: for cpcp the removal of every edge joining
+two degree-<=2 vertices, which drops the vertices it isolates at once, and
+the triangle rule; for cpp the contraction of a degree-2 vertex whose
+neighbors both have degree <= 2; and for both the deletion of each
 degree->=5 vertex that can be swapped for the neighbors a solution takes.
 At either fixpoint every degree-2 vertex has a neighbor of degree >= 3, as
 a proper graph needs.
@@ -22,13 +25,14 @@ silent fallback there would mask a broken reduction, not recover from one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from . import decomp, graph as graphlib
 from .bdd import bdd_dp_solve
 from .errors import InternalSolverError
 from .graph import Graph
-from .oracles import min_deletion_set, verify
+from .oracles import min_deletion_bits, verify
 
 
 @dataclass
@@ -115,8 +119,10 @@ def branch_b2(g: Graph, v: int, u: int) -> BranchSet:
 # ------------------------------------------------------------------ reductions
 
 
-# The actions below return how many reductions they count and the vertices
-# whose neighbor sets they changed.
+# The actions below return how many reductions they count, the vertices
+# left whose neighbor sets they changed, and how many isolated vertices they
+# removed: trivial components the last trivial pass of the reduction would
+# have counted, so they count only if the budget holds to the end.
 
 
 def _delete(inst: Instance, removed, deleted):
@@ -124,12 +130,12 @@ def _delete(inst: Instance, removed, deleted):
     changed = inst.graph.remove_vertices(removed)
     inst.deleted.update(deleted)
     inst.k -= len(deleted)
-    return 1, changed
+    return 1, changed, 0
 
 
 def _delete_each(inst: Instance, xs):
     """Delete each vertex of xs into the solution, one reduction apiece."""
-    return len(xs), _delete(inst, xs, xs)[1]
+    return len(xs), _delete(inst, xs, xs)[1], 0
 
 
 def _smooth(inst: Instance, path):
@@ -137,14 +143,21 @@ def _smooth(inst: Instance, path):
     a, mid, b = path
     inst.graph.remove_vertex(mid)
     inst.graph.add_edge(a, b)
-    return 1, (a, b)
+    return 1, (a, b), 0
 
 
 def _remove_edges(inst: Instance, edges):
-    """Remove each edge, one reduction apiece."""
-    for e in edges:
-        inst.graph.remove_edge(*e)
-    return len(edges), [v for e in edges for v in e]
+    """Remove each edge, one reduction apiece, and drop the ends left
+    isolated."""
+    adj = inst.graph._adj
+    for u, v in edges:
+        adj[u].remove(v)
+        adj[v].remove(u)
+    ends = {v for e in edges for v in e}
+    isolated = [v for v in ends if not adj[v]]
+    for v in isolated:
+        del adj[v]
+    return len(edges), ends.difference(isolated), len(isolated)
 
 
 # Local reduction rules per problem, in firing order: (finder, action on the
@@ -153,9 +166,9 @@ def _remove_edges(inst: Instance, edges):
 # 2-5 and the proper leaves meet no shape they did not meet without it.
 _REDUCTIONS = {
     "cpcp": (
-        # drop every edge joining two degree-<=2 vertices: removing one only
-        # lowers degrees that are already <= 2, so the others stay eligible
-        # and no new one appears
+        # drop every edge joining two degree-<=2 vertices, and the vertices
+        # that leaves isolated: removing one only lowers degrees that are
+        # already <= 2, so the others stay eligible and no new one appears
         (graphlib.low_degree_edges, _remove_edges),
         # a triangle with a single outside neighbor x: delete x, and the
         # triangle itself then costs nothing
@@ -177,12 +190,22 @@ _REDUCTIONS = {
 }
 
 
+@lru_cache(maxsize=1 << 12)
+def _shape_cut(acyclic: bool, masks: tuple) -> tuple:
+    """The positions min_deletion_set deletes from a component of at most
+    TRIVIAL_COMPONENT_SIZE vertices, given its neighbor bitmasks over its
+    vertices in id order. Searches meet the same small shapes (triangles,
+    cliques) over and over, so each is enumerated once while the table
+    holds it."""
+    return min_deletion_bits(masks, 2, acyclic)
+
+
 def _trivial_cut(g: Graph, comp, acyclic: bool):
     """A least deletion set of comp, a trivial component of g: none if it
     has maximum degree <= 2 and, for co-path packing, is a path (degree sum
-    2(n - 1)); else subset enumeration up to TRIVIAL_COMPONENT_SIZE
-    vertices; a longer cycle costs one deletion for co-path packing and none
-    for co-path/cycle packing."""
+    2(n - 1)); else, up to TRIVIAL_COMPONENT_SIZE vertices, the set
+    min_deletion_set returns, looked up by shape; a longer cycle costs one
+    deletion for co-path packing and none for co-path/cycle packing."""
     adj = g._adj
     total = 0
     for v in comp:  # stops at the first degree above 2: a clique costs one lookup
@@ -194,7 +217,10 @@ def _trivial_cut(g: Graph, comp, acyclic: bool):
         if not acyclic or total == 2 * len(comp) - 2:
             return ()
     if len(comp) <= graphlib.TRIVIAL_COMPONENT_SIZE:
-        return min_deletion_set(g, comp, 2, acyclic)
+        verts = sorted(comp)
+        bit = {v: 1 << i for i, v in enumerate(verts)}
+        masks = tuple(sum(map(bit.__getitem__, adj[v])) for v in verts)
+        return tuple(verts[i] for i in _shape_cut(acyclic, masks))
     return comp[:1] if acyclic else ()
 
 
@@ -203,12 +229,14 @@ def _delete_trivial_components(inst: Instance, acyclic: bool, stats: SolveStats,
     one) at its minimum cost."""
     comps = graphlib.find_trivial_components(inst.graph, scan)
     if comps:
+        adj = inst.graph._adj
         for comp in comps:
             cut = _trivial_cut(inst.graph, comp, acyclic)
             inst.deleted.update(cut)
             inst.k -= len(cut)
+            for v in comp:  # a whole component: no set outside it holds v
+                del adj[v]
         stats.reductions += len(comps)
-        inst.graph.remove_vertices([v for comp in comps for v in comp])
 
 
 def _reduce(inst: Instance, problem: str, stats: SolveStats) -> Instance:
@@ -216,7 +244,10 @@ def _reduce(inst: Instance, problem: str, stats: SolveStats) -> Instance:
     until none applies or the budget runs out, then delete the components
     the rules left trivial. A local rule acts inside one component and only
     shrinks it, so this is the fixpoint that deletes trivial components as
-    they appear.
+    they appear. The cpcp edge rule leaves thousands of isolated vertices
+    on a large forest, so it drops them itself; each counts as the trivial
+    component the last pass would have deleted, which happens only if the
+    budget holds.
 
     Every trivial component and every new witness of a local rule holds a
     vertex whose neighbor set changed, so the first trivial pass walks out
@@ -228,12 +259,14 @@ def _reduce(inst: Instance, problem: str, stats: SolveStats) -> Instance:
     rules = _REDUCTIONS[problem]
     scans = [None if inst.changed is None else set(inst.changed) for _ in rules]
     touched = set()
+    isolated = 0
     while inst.k >= 0:
         for i, (find, act) in enumerate(rules):
             found = find(inst.graph, scans[i])
             if found is not None:
-                count, changed = act(inst, found)
+                count, changed, dropped = act(inst, found)
                 stats.reductions += count
+                isolated += dropped
                 touched.update(changed)
                 for scan in scans:
                     if scan is not None:
@@ -242,8 +275,10 @@ def _reduce(inst: Instance, problem: str, stats: SolveStats) -> Instance:
             scans[i] = set()
         else:
             break
-    if touched and inst.k >= 0:
-        _delete_trivial_components(inst, acyclic, stats, touched)
+    if inst.k >= 0:
+        stats.reductions += isolated
+        if touched:
+            _delete_trivial_components(inst, acyclic, stats, touched)
     return inst
 
 
@@ -549,9 +584,8 @@ class _Search:
             for ch in bs.children:
                 if len(ch) > cap:
                     continue
-                child = g.copy()
-                changed = child.remove_vertices(ch)
-                found = yield self.node(Instance(child, cap - len(ch), set(ch), changed), exact)
+                child = Instance(g.without_vertices(ch), cap - len(ch), set(ch), g.neighborhood_of(ch))
+                found = yield self.node(child, exact)
                 if found is not None:
                     best, cap = found, found[0] - 1
                     if not exact or found[0] == floor:

@@ -73,17 +73,12 @@ def _subset_ok(adj_bits: list[int], keep_mask: int, bound: int, acyclic: bool) -
     return edges == keep_mask.bit_count() - comps
 
 
-def min_deletion_set(g: Graph, verts, bound: int, acyclic: bool) -> tuple:
-    """Smallest set of vertices inside verts whose deletion leaves the rest of
-    verts with degree <= bound (and no cycle if acyclic), found by subset
-    enumeration in increasing size. verts must be closed under adjacency."""
-    verts = sorted(verts)
-    n = len(verts)
-    pos = {v: i for i, v in enumerate(verts)}
-    adj_bits = [0] * n
-    for v in verts:
-        for u in g._adj[v]:
-            adj_bits[pos[v]] |= 1 << pos[u]
+def min_deletion_bits(adj_bits, bound: int, acyclic: bool) -> tuple:
+    """Positions of the smallest set whose deletion leaves the vertices of
+    adj_bits, given as neighbor bitmasks over positions 0..n-1, with degree
+    <= bound (and no cycle if acyclic): the first qualifying subset in
+    increasing size, each size in lexicographic order."""
+    n = len(adj_bits)
     full = (1 << n) - 1
     for size in range(n + 1):
         for combo in combinations(range(n), size):
@@ -91,8 +86,21 @@ def min_deletion_set(g: Graph, verts, bound: int, acyclic: bool) -> tuple:
             for i in combo:
                 del_mask |= 1 << i
             if _subset_ok(adj_bits, full ^ del_mask, bound, acyclic):
-                return tuple(verts[i] for i in combo)
+                return combo
     raise AssertionError("unreachable: deleting all vertices always qualifies")
+
+
+def min_deletion_set(g: Graph, verts, bound: int, acyclic: bool) -> tuple:
+    """Smallest set of vertices inside verts whose deletion leaves the rest of
+    verts with degree <= bound (and no cycle if acyclic), found by subset
+    enumeration in increasing size. verts must be closed under adjacency."""
+    verts = sorted(verts)
+    pos = {v: i for i, v in enumerate(verts)}
+    adj_bits = [0] * len(verts)
+    for v in verts:
+        for u in g._adj[v]:
+            adj_bits[pos[v]] |= 1 << pos[u]
+    return tuple(verts[i] for i in min_deletion_bits(adj_bits, bound, acyclic))
 
 
 def oracle_witness(g: Graph, problem: str, d: int | None = None, limit: int = ORACLE_LIMIT) -> tuple:

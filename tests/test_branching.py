@@ -360,32 +360,45 @@ def test_reduce_scans_no_components(monkeypatch):
             assert not calls, reduce.__name__
 
 
-def test_trivial_cut_skips_enumeration_inside_the_bound(monkeypatch):
+def test_trivial_cut_skips_enumeration_inside_the_bound():
     """On every component of every graph of at most 5 vertices, and of
     seeded 6-vertex graphs, _trivial_cut equals min_deletion_set for both
-    problems, and enumerates exactly when the component needs a deletion."""
+    problems, looks the component's shape up exactly when it needs a
+    deletion, and enumerates each shape at most once."""
     rng = random.Random(1919)
     graphs = [g for n in range(1, 6) for g in all_graphs(n)]
     graphs += [gnm_graph(6, rng.randint(0, 15), rng.randrange(1 << 30)) for _ in range(400)]
-    enumerated = []
-    monkeypatch.setattr(branching, "min_deletion_set", lambda *a: enumerated.append(a) or min_deletion_set(*a))
+    branching._shape_cut.cache_clear()
+    shapes = set()
     free = 0
     for g in graphs:
         for comp in g.components():
             for acyclic in (False, True):
                 want = min_deletion_set(g, comp, 2, acyclic)
-                enumerated.clear()
+                before = branching._shape_cut.cache_info()
                 assert _trivial_cut(g, comp, acyclic) == want, (comp, acyclic, g.edges())
-                assert bool(enumerated) == bool(want), (comp, acyclic, g.edges())
+                after = branching._shape_cut.cache_info()
+                rank = {v: i for i, v in enumerate(comp)}
+                shape = (acyclic, len(comp), frozenset((rank[u], rank[v]) for u, v in g.edges() if u in rank))
+                new = bool(want) and shape not in shapes
+                assert after.hits + after.misses - before.hits - before.misses == bool(want), (comp, acyclic)
+                assert after.misses - before.misses == new, (comp, acyclic, g.edges())
+                if want:
+                    shapes.add(shape)
                 free += not want
     assert free >= 1000, free
+    info = branching._shape_cut.cache_info()
+    assert info.misses == info.currsize <= info.maxsize, info
+    assert info.hits >= 400, info
 
 
 def _full_scan_reduce(inst, problem):
     """The reduction loop with every finder scanning the whole graph: the
     trivial components, the first local rule that applies until none does or
     the budget runs out, then, if a rule fired and the budget has not run
-    out, the components left trivial. Returns the reductions counted."""
+    out, the components left trivial. The edge rule only removes its edges,
+    so the last trivial pass deletes and counts the vertices it isolates.
+    Returns the reductions counted."""
     acyclic = problem == "cpp"
     count = 0
 
@@ -395,13 +408,18 @@ def _full_scan_reduce(inst, problem):
             count += 1
             _delete(inst, comp, _trivial_cut(inst.graph, comp, acyclic))
 
+    def remove_edges(inst, edges):
+        for e in edges:
+            inst.graph.remove_edge(*e)
+        return (len(edges),)
+
     trivial()
     fired = False
     while inst.k >= 0:
         for find, act in _REDUCTIONS[problem]:
             found = find(inst.graph)
             if found is not None:
-                count += act(inst, found)[0]
+                count += (remove_edges if find is low_degree_edges else act)(inst, found)[0]
                 fired = True
                 break
         else:
@@ -412,7 +430,28 @@ def _full_scan_reduce(inst, problem):
 
 
 def _reduced(inst, count):
-    return inst.graph.vertices(), inst.graph.edges(), inst.k, inst.deleted, count
+    """What a reduction leaves. Once the budget has run out the search drops
+    the graph, and only the shipped reduction has removed the vertices the
+    edge rule isolated, so then only vertices with an edge are compared."""
+    g = inst.graph
+    vertices = [v for v in g.vertices() if inst.k >= 0 or g.degree(v)]
+    return vertices, g.edges(), inst.k, inst.deleted, count
+
+
+def test_edge_rule_isolated_vertices_count_only_while_the_budget_holds():
+    """Hub 0 with the leg 0 - 1 - 2 - 3 and the triangle {4, 5, 6}, each of
+    whose vertices is adjacent to 0: the edge rule removes (1, 2) and
+    (2, 3), isolating 2 and 3, then the triangle rule deletes 0. At k = 0
+    that runs the budget out, and the isolated vertices are not counted, as
+    the last trivial pass never runs; at k = 1 that pass deletes 1, 2 and 3,
+    one reduction each."""
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (5, 6), (0, 4), (0, 5), (0, 6)])
+    for k, want in ((0, 3), (1, 6)):
+        got, ref, stats = inst_of(g, k), inst_of(g, k), SolveStats()
+        reduce_cpcp(got, stats)
+        assert _reduced(got, stats.reductions) == _reduced(ref, _full_scan_reduce(ref, "cpcp")), k
+        assert (got.k, got.deleted, stats.reductions) == (k - 1, {0}, want), k
+    assert got.graph.alive_count == 0
 
 
 def test_child_reductions_match_full_scans(monkeypatch):

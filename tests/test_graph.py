@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from copack import graph as graphlib
@@ -251,6 +253,32 @@ def test_remove_vertices_returns_what_lost_a_neighbor(rng):
         h = g.copy()
         assert h.remove_vertices(victims) == g.neighborhood_of(victims), t
         assert h.edges() == g.without_vertices(victims).edges(), t
+
+
+def test_without_vertices_matches_copy_and_remove():
+    """without_vertices(ch), built in one pass, equals copy() then
+    remove_vertices(ch): the same adjacency in the same order, and
+    neighborhood_of(ch) is the set remove_vertices returns. Emptying every
+    set of the child leaves the parent as it was, so no set is shared, and
+    a dead or out-of-range vertex raises ValueError."""
+    rng = random.Random(3232)
+    for t in range(300):
+        n = rng.randint(1, 16)
+        g = gnm_graph(n, rng.randint(0, n * (n - 1) // 2), t)
+        dead = rng.sample(range(n), rng.randint(0, n // 3))
+        g.remove_vertices(dead)
+        ch = rng.sample(g.vertices(), rng.randint(0, min(4, g.alive_count)))
+        child, ref = g.without_vertices(ch), g.copy()
+        lost = ref.remove_vertices(ch)
+        assert list(child._adj.items()) == list(ref._adj.items()) and child.size == g.size, t
+        assert g.neighborhood_of(ch) == lost, t
+        parent = {v: set(nb) for v, nb in g._adj.items()}
+        for nb in child._adj.values():
+            nb.clear()
+        assert g._adj == parent, t
+        for bad in dead + [n, -1]:
+            with pytest.raises(ValueError):
+                g.without_vertices(ch + [bad])
 
 
 def _reduction_witnesses(g):
