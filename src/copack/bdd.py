@@ -55,6 +55,11 @@ and two additions.
 Each entry is the cheapest deletion set reaching its labels, as a bitmask
 over introduce order: its cost is the mask's bit count, and the final
 entry's bits are the witness.
+
+A vertex without neighbours is never worth deleting and changes no other
+label, so its events are skipped: its slot's field stays 0 from its
+introduce to its forget, no forget looks it up, and it takes no bit of the
+masks. bdd's edge rule leaves such vertices by the thousand.
 """
 
 from __future__ import annotations
@@ -75,6 +80,8 @@ def bdd_dp_solve(g: Graph, events: NiceEventSequence, d: int) -> tuple[int, set[
     floors: list[int] = []  # slot -> d - rem of its vertex, the floor of its kept label
 
     for op, v, slot, bag in events.walk(g):
+        if not adj[v]:
+            continue
         new: dict[int, int] = {}
         sh = slot * w
         if op == "introduce":
@@ -91,10 +98,9 @@ def bdd_dp_solve(g: Graph, events: NiceEventSequence, d: int) -> tuple[int, set[
                     nbrs.append((j, 1 << j, f))
                     nbmask |= full << j
             floor = d - len(adj[v]) + len(nbrs)
-            if slot < len(floors):
-                floors[slot] = floor
-            else:
-                floors.append(floor)
+            if slot >= len(floors):  # slots below it may be a skipped vertex's
+                floors += [0] * (slot + 1 - len(floors))
+            floors[slot] = floor
             vdel = full << sh
             # s & nbmask -> (deleted child - s, bump, v's kept field or -1 if keeping v kills)
             moves: dict[int, tuple[int, int, int]] = {}
@@ -135,7 +141,7 @@ def bdd_dp_solve(g: Graph, events: NiceEventSequence, d: int) -> tuple[int, set[
                 old = projected.get(s)
                 if old is None or mask.bit_count() < old.bit_count():
                     projected[s] = mask
-            fields = [full << t * w for u, t in bag.items() if u != v]
+            fields = [full << t * w for u, t in bag.items() if u != v and adj[u]]
             for s, mask in projected.items():
                 cost = mask.bit_count()
                 for f in fields:

@@ -225,17 +225,35 @@ def heuristic_pd(g: Graph) -> PathDecomposition:
     """Greedy layout-based decomposition; always valid, no width guarantee.
 
     Each step places the vertex whose placing leaves the fewest placed
-    vertices with an unplaced neighbor, the lowest id on ties. Placing a
-    vertex changes that count only within distance 2 of it, so only those
-    vertices are rescored."""
+    vertices with an unplaced neighbor (the boundary). Among those it takes
+    the one whose placing adds the fewest edges between placed and unplaced
+    vertices (the cut), 2 * unplaced[v] - deg(v), so the layout grows one
+    front rather than two; the lowest id breaks what ties are left. Both
+    keys are folded into one int, (2D + 1) * boundary + cut with D the
+    maximum degree, as the cut change lies within [-D, D].
+
+    Placing v changes the keys of its unplaced neighbors, and of each vertex
+    that it leaves the last unplaced neighbor of a placed vertex, whose
+    placing will then drop that vertex from the boundary; only those are
+    rescored."""
     adj = g._adj
     unplaced = {v: len(nb) for v, nb in adj.items()}  # v's unplaced neighbors
+    drops = dict.fromkeys(adj, 0)  # placed vertices whose last unplaced neighbor v is
     placed: set[int] = set()
+    scale = 2 * max(unplaced.values(), default=0) + 1
 
     def cost(v):
         # placing v joins v to the boundary if it has an unplaced neighbor,
-        # and drops each placed neighbor whose last one it is
-        return (unplaced[v] > 0) - sum(1 for u in adj[v] if unplaced[u] == 1 and u in placed)
+        # and drops each placed vertex whose last one it is; its edges to
+        # unplaced neighbors join the cut, those to placed ones leave it
+        left = unplaced[v]
+        return scale * ((left > 0) - drops[v]) + 2 * left - len(adj[v])
+
+    def last_one(u):
+        # u, placed with one unplaced neighbor left, leaves the boundary with it
+        w = next(w for w in adj[u] if w not in placed)
+        drops[w] += 1
+        return w
 
     costs = {v: cost(v) for v in adj}
     heap = [(c, v) for v, c in costs.items()]
@@ -247,11 +265,14 @@ def heuristic_pd(g: Graph) -> PathDecomposition:
             continue  # an entry left behind by a later rescore
         order.append(v)
         placed.add(v)
-        near = set(adj[v])
+        rescore = [last_one(v)] if unplaced[v] == 1 else []
         for u in adj[v]:
             unplaced[u] -= 1
-            near |= adj[u]
-        for w in near - placed:
+            if u not in placed:
+                rescore.append(u)
+            elif unplaced[u] == 1:
+                rescore.append(last_one(u))
+        for w in rescore:
             c = cost(w)
             if c != costs[w]:
                 costs[w] = c

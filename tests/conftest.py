@@ -45,7 +45,9 @@ def exact_decomposition_for(g):
 
 def plain_heuristic_pd(g):
     """heuristic_pd's greedy as a plain loop: each step scores every
-    unplaced vertex and places the least score, the lowest id on ties."""
+    unplaced vertex by (the change in the placed vertices with an unplaced
+    neighbor, the change in the edges from placed to unplaced vertices) and
+    places the least score, the lowest id on ties."""
     adj = g._adj
     remaining = set(g.vertices())
     placed, order = set(), []
@@ -53,7 +55,9 @@ def plain_heuristic_pd(g):
     while remaining:
         best_v, best_cost = None, None
         for v in sorted(remaining):
-            cost = (unplaced[v] > 0) - sum(1 for u in adj[v] if unplaced[u] == 1 and u in placed)
+            boundary = (unplaced[v] > 0) - sum(1 for u in adj[v] if unplaced[u] == 1 and u in placed)
+            cut = sum(1 if u in remaining else -1 for u in adj[v])
+            cost = (boundary, cut)
             if best_cost is None or cost < best_cost:
                 best_v, best_cost = v, cost
         order.append(best_v)

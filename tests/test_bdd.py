@@ -167,6 +167,30 @@ def test_pruned_tables_match_the_unpruned_reference():
                 assert len(wit) == size and verify(g, wit, "bdd", d), (t, pd.width, d)
 
 
+def test_vertices_without_neighbours_share_bags():
+    """Isolated vertices spread over runs of another graph's bags, as a
+    supplied decomposition may put them, change nothing: the minimum is the
+    unpruned reference's and the oracle's, and (size, witness) is what the
+    DP returns on the graph without them. The first one sits in the first
+    bag, so it holds slot 0 while the others are introduced."""
+    for t in range(150):
+        g0 = random_graph(t + 9100, n_lo=3, n_hi=9)
+        rng = random.Random(t)
+        g = Graph.from_edges(g0.size + rng.randint(1, 3), g0.edges())
+        pd0 = exact_pathwidth(g0)[1]
+        bags = [set(b) for b in pd0.bags]
+        for v in range(g0.size, g.size):
+            i = 0 if v == g0.size else rng.randrange(len(bags))
+            for b in bags[i : rng.randint(i + 1, len(bags))]:
+                b.add(v)
+        ev = to_nice(PathDecomposition(bags))
+        for d in range(4):
+            size, wit = bdd_dp_solve(g, ev, d)
+            assert (size, wit) == bdd_dp_solve(g0, to_nice(pd0), d), (t, d)
+            assert size == reference_bdd_dp(g, ev, d)[0] == oracle_min(g, "bdd", d), (t, d)
+            assert verify(g, wit, "bdd", d), (t, d)
+
+
 def test_labels_below_a_floor_merge():
     """The 4-cycle 0-2-1-3 with a pendant 4 on 0, at d = 1, in the layout
     order 0, 1, 2, 4, 3. Before 3, the last neighbour of both 0 and 1,

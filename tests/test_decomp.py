@@ -322,6 +322,22 @@ def test_heuristic_matches_the_plain_loop():
         assert heuristic_pd(g).bags == plain_heuristic_pd(g).bags, g.edges()
 
 
+def test_heuristic_widths_on_fixed_inputs():
+    # placing the least cut change first grows one front: with the lowest id
+    # as the only tie-break the first four read 70, 46, 18 and 12
+    for g, most in (
+        (planted_graph(1500, 100, 1), 23),
+        (gnm_graph(200, 300, 1), 30),
+        (proper_graph(200, 1), 12),
+        (planted_graph(200, 20, 3), 6),
+    ):
+        assert heuristic_pd(g).width <= most
+    grid = grid_graph(7, 10)
+    n = grid.size
+    flipped = Graph.from_edges(n, [(n - 1 - u, n - 1 - v) for u, v in grid.edges()])
+    assert heuristic_pd(grid).width == heuristic_pd(flipped).width == 7
+
+
 def test_guard_check():
     g = proper_graph(12, seed=3)
     assert guard_check(g, 12)  # 12 <= 100 * 12, and n3 + 2 * n4 <= 48
