@@ -24,7 +24,7 @@ silent fallback there would mask a broken reduction, not recover from one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 
@@ -35,44 +35,57 @@ from .graph import Graph
 from .oracles import min_deletion_bits, verify
 
 
-@dataclass
 class Instance:
-    graph: Graph
-    k: int
-    deleted: set[int]
-    # the vertices whose neighbor sets changed since the graph was last at the
-    # reduction fixpoint, or None for a graph never reduced
-    changed: set[int] | None = None
+    __slots__ = ("graph", "k", "deleted", "changed")
+
+    def __init__(self, graph: Graph, k: int, deleted: set[int], changed: set[int] | None = None):
+        self.graph = graph
+        self.k = k
+        self.deleted = deleted
+        # the vertices whose neighbor sets changed since the graph was last at
+        # the reduction fixpoint, or None for a graph never reduced
+        self.changed = changed
 
 
-@dataclass
 class BranchSet:
     """A branching step: each child deletes a vertex set, and its size is
     the child's budget decrement."""
 
-    rule: str
-    children: list[frozenset]
+    __slots__ = ("rule", "children")
+
+    def __init__(self, rule: str, children: list[frozenset]):
+        self.rule = rule
+        self.children = children
 
 
-@dataclass
 class SolveStats:
-    nodes: int = 0
-    reductions: int = 0
-    dp_calls: int = 0
-    cc_calls: int = 0
-    width: int = -1
-    repeats: int = 0
-    guard_rejects: int = 0
-    bound_prunes: int = 0
-    memo_hits: int = 0
+    """A solve's counters; `vars` lists them in this order."""
+
+    def __init__(self, nodes: int = 0, reductions: int = 0, dp_calls: int = 0, cc_calls: int = 0,
+                 width: int = -1, repeats: int = 0, guard_rejects: int = 0, bound_prunes: int = 0,
+                 memo_hits: int = 0):
+        self.nodes = nodes
+        self.reductions = reductions
+        self.dp_calls = dp_calls
+        self.cc_calls = cc_calls
+        self.width = width
+        self.repeats = repeats
+        self.guard_rejects = guard_rejects
+        self.bound_prunes = bound_prunes
+        self.memo_hits = memo_hits
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is SolveStats else NotImplemented
+
+    def __repr__(self):
+        return "SolveStats(%s)" % ", ".join("%s=%r" % kv for kv in vars(self).items())
 
 
-@dataclass
-class SolveOutcome:
-    answer: bool
-    witness: set[int] | None
-    size: int | None  # the deletion set's size on yes, the minimum in exact mode
-    stats: SolveStats
+class SolveOutcome(namedtuple("SolveOutcome", "answer witness size stats")):
+    """A solve's answer, its witness or None, the deletion set's size on yes
+    (the minimum in exact mode) or None, and its SolveStats."""
+
+    __slots__ = ()
 
 
 def _branch(rule: str, sets, expected) -> BranchSet:

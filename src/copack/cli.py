@@ -11,34 +11,32 @@ import argparse
 import functools
 import sys
 import time
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
-from . import cutcount, generators
+# the search, the oracles, cut & count and the generators are imported by
+# the functions that run them, so a fresh process compiles only what its
+# command needs: --help loads no solver, and a cpcp solve no cut & count
 from .bdd import bdd_dp_solve
-from .branching import SolveStats, solve_cpcp, solve_cpp
 from .decomp import Violation, decomposition_for, parse_decomposition, to_nice, validate
 from .dimacs import parse_graph, write_graph
 from .errors import InternalSolverError
 from .graph import Graph, low_degree_edges
-from .oracles import branching_factor, oracle_witness, problem_bounds, verify
 
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
 
 
-@dataclass
-class RunConfig:
-    problem: str  # cpcp | cpp | bdd
-    d: int | None = None
-    k: int | None = None
-    optimize: bool = False
-    mode: str = "auto"  # auto | dp | oracle
-    seed: int = 0
-    repeats: int = 10
-    decomposition: str | None = None
+class RunConfig(namedtuple("RunConfig", "problem d k optimize mode seed repeats decomposition",
+                           defaults=(None, None, False, "auto", 0, 10, None))):
+    """A solve's options: problem is cpcp, cpp or bdd, mode auto, dp or
+    oracle; the defaults are the solve command's."""
+
+    __slots__ = ()
 
     def validate(self):
+        from .oracles import problem_bounds
+
         problem_bounds(self.problem, self.d)  # a known problem, and bdd's d >= 0
         if self.problem != "bdd" and self.d is not None:
             raise ValueError("--d is meaningless outside bdd")
@@ -82,6 +80,8 @@ def command_factors():
     Reference values occasionally carry their last digit rounded up rather
     than to nearest; deltas stay within 1e-4 either way.
     """
+    from .oracles import branching_factor
+
     rows = []
     for name, decs, expected in FACTOR_ROWS:
         got = round(branching_factor(decs), 4)
@@ -114,12 +114,13 @@ def _events_for(g: Graph, h: Graph, cfg: RunConfig):
     return to_nice(pd)
 
 
-def least_cpp_budget(g: Graph, lo: int, cap: int, events, repeats: int, seed: int,
-                     stats: SolveStats) -> int | None:
+def least_cpp_budget(g: Graph, lo: int, cap: int, events, repeats: int, seed: int, stats) -> int | None:
     """The least budget in lo..cap at which cut & count, with up to `repeats`
     weightings per budget, accepts g, or None. The i-th cut & count decision
     of a solve draws derive_seed(seed, i), counted by stats.cc_calls, so
-    stats must start at zero."""
+    stats, a SolveStats, must start at zero."""
+    from . import cutcount
+
     for k in range(lo, cap + 1):
         runs = cutcount.decide_cpp(g, k, events, repeats, cutcount.derive_seed(seed, stats.cc_calls))
         stats.cc_calls += 1
@@ -135,6 +136,9 @@ def _solve_decision(g: Graph, cfg: RunConfig):
     SolveStats). The DP route runs the deletion DP once, on g or, for bdd
     in auto mode, on g without its low-degree edges. A witness must verify
     on g, or the solver is at fault."""
+    from .branching import SolveStats, solve_cpcp, solve_cpp
+    from .oracles import oracle_witness, problem_bounds, verify
+
     k = g.alive_count if cfg.optimize else cfg.k
     stats = SolveStats()
     if cfg.mode == "oracle":
@@ -180,6 +184,10 @@ def command_solve(cfg: RunConfig, path: str):
         record["d"] = cfg.d
     if not cfg.optimize:
         record["k"] = cfg.k
+    # the solver's modules load before the clock starts: elapsed times the solve alone
+    from . import branching  # noqa: F401
+    if cfg.problem == "cpp" and cfg.mode == "dp":
+        from . import cutcount  # noqa: F401
     start = time.monotonic()
     ans, witness, mn, stats = _solve_decision(g, cfg)
     record["answer"] = "yes" if ans else "no"
@@ -214,6 +222,8 @@ def command_gen(kind: str, params, seed: int = 0, forest_n: int | None = None, k
     names = GEN_PARAMS[kind]
     if len(params) != len(names):
         raise ValueError("gen %s takes parameters (%s), got %d" % (kind, " ".join(names) or "none", len(params)))
+    from . import generators
+
     comments = []
     if kind == "path":
         g = generators.path_graph(*params)
@@ -275,7 +285,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "solve":
-            cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
+            cfg = RunConfig(**{name: getattr(args, name) for name in RunConfig._fields})
             record, code = command_solve(cfg, args.graph)
             _emit(record)
             return code

@@ -53,7 +53,7 @@ the candidates with n >= need; the decision reads delta 0.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .decomp import NiceEventSequence
 from .graph import Graph
@@ -69,13 +69,11 @@ def derive_seed(master: int, counter: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class WeightAssignment:
+class WeightAssignment(namedtuple("WeightAssignment", "vertex_weights edge_weights")):
     """Independent uniform integer weights in [1, N] on vertices and edges,
     with N = 3 * (#vertices + #edges)."""
 
-    vertex_weights: dict
-    edge_weights: dict
+    __slots__ = ()
 
 
 def sample_weights(g: Graph, seed: int) -> WeightAssignment:

@@ -380,6 +380,9 @@ def decomposition_for(g: Graph) -> PathDecomposition:
     is no wider, so no large component gets wider than the greedy makes it."""
     bags: list[frozenset] = []
     for h in g.copy().split():
+        if h.alive_count == 1:
+            bags.append(frozenset(h._adj))  # a lone vertex: its layout's one bag
+            continue
         pd = _layout_to_decomposition(h, _hub_layout(h))
         if h.alive_count > EXACT_PATHWIDTH_LIMIT:
             greedy = heuristic_pd(h)

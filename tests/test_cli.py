@@ -390,12 +390,10 @@ def test_shared_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypa
 def test_record_carries_every_solve_counter(tmp_path, monkeypatch):
     """A solve record carries each SolveStats field once, in field order,
     with the value the solve returned."""
-    from dataclasses import fields
-
     import copack.cli
     from copack.branching import SolveStats
 
-    names = [fld.name for fld in fields(SolveStats)]
+    names = list(vars(SolveStats()))
     stats = SolveStats(**{name: 11 * (i + 1) for i, name in enumerate(names)})
     monkeypatch.setattr(copack.cli, "_solve_decision", lambda g, cfg: (True, {0}, None, stats))
     f = tmp_path / "c6.gr"
@@ -494,7 +492,7 @@ def test_main_internal_error_exits_2(tmp_path, capsys, monkeypatch):
     fault is an error, not a no."""
     import sys
 
-    import copack.cli
+    from copack import branching
     from copack.errors import InternalSolverError
     from copack.graph import Graph
 
@@ -516,7 +514,7 @@ def test_main_internal_error_exits_2(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise InternalSolverError("branch decrements [1], expected [2]")
 
-    monkeypatch.setattr(copack.cli, "solve_cpcp", broken)
+    monkeypatch.setattr(branching, "solve_cpcp", broken)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
@@ -696,7 +694,7 @@ def test_cpcp_optimize_is_one_exact_search(tmp_path, monkeypatch):
     mode, and print the minimum the oracle or the whole-graph route finds,
     with a witness of that size that verifies. No auto record prints a
     fail_bound: the search makes no cut & count decision."""
-    import copack.cli
+    from copack import branching
     from copack.generators import planted_graph, proper_graph
     from copack.oracles import verify
 
@@ -709,7 +707,7 @@ def test_cpcp_optimize_is_one_exact_search(tmp_path, monkeypatch):
         return run
 
     for name in ("solve_cpcp", "solve_cpp"):
-        monkeypatch.setattr(copack.cli, name, counted(getattr(copack.cli, name)))
+        monkeypatch.setattr(branching, name, counted(getattr(branching, name)))
     f = tmp_path / "g.gr"
     for g in (gnm_graph(12, 22, seed=4), proper_graph(13, 66), planted_graph(30, 4, 0), planted_graph(48, 6, 1)):
         f.write_text(write_graph(g))
@@ -724,9 +722,12 @@ def test_cpcp_optimize_is_one_exact_search(tmp_path, monkeypatch):
             assert len(wit) == mn and verify(g, wit, problem), (problem, g.edges())
 
 
-def test_cli_import_leaves_numpy_out():
+def test_cli_import_leaves_numpy_out(tmp_path):
     """The package has no runtime dependency: importing the CLI loads no
-    numpy. Nor does it build the parser, which waits for the first main."""
+    numpy. Nor does it build the parser, which waits for the first main.
+    A fresh process loads only what its command runs: `import copack` and
+    --help load no solver and no dataclasses, and a cpcp solve no cut &
+    count, generators or dataclasses."""
     import os
     import subprocess
     import sys
@@ -741,6 +742,66 @@ def test_cli_import_leaves_numpy_out():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False 0"
+
+    def loaded(*args):
+        """The modules a fresh interpreter imports running args."""
+        run = subprocess.run([sys.executable, "-X", "importtime", *args], env=env, capture_output=True,
+                             text=True, check=True)
+        return {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
+                if line.startswith("import time:")}
+
+    bare = loaded("-c", "pass")  # what the interpreter's own start-up imports
+    unused = {"dataclasses", "copack.branching", "copack.cutcount", "copack.generators", "copack.oracles"}
+    assert [m for m in loaded("-c", "import copack") - bare if m.startswith("copack.") or m in unused] == []
+    assert (loaded("-m", "copack.cli", "--help") - bare) & unused == set()
+    f = tmp_path / "c6.gr"
+    f.write_text(command_gen("cycle", [6]))
+    solve = loaded("-m", "copack.cli", "solve", "--problem", "cpcp", "-k", "2", str(f)) - bare
+    assert "copack.branching" in solve
+    assert solve & {"dataclasses", "copack.cutcount", "copack.generators"} == set()
+
+
+# every name the package exported when its __init__ imported each submodule
+PACKAGE_NAMES = (
+    "BranchSet Graph GraphFormatError Instance InternalSolverError NiceEventSequence PathDecomposition "
+    "SizeLimitError SolveOutcome SolveStats Violation WeightAssignment bdd bdd_dp_solve branch_b1 branch_b2 "
+    "branching branching_factor cutcount decide_cpp decide_cpp_once decomp derive_seed dimacs errors "
+    "exact_pathwidth graph guard_check heuristic_pd is_proper oracle_min oracle_witness oracles parity_dp "
+    "parse_decomposition parse_graph reduce_cpcp reduce_cpp sample_weights solve_cpcp solve_cpp to_nice "
+    "validate verify write_decomposition write_graph"
+).split()
+
+
+def test_package_exports_resolve_lazily():
+    """Each name the package exports is the object its defining module
+    holds, `from copack import *` binds every one, the README's import line
+    runs as written, and an unknown name raises AttributeError."""
+    import importlib
+    import os
+    import sys
+
+    import copack
+
+    assert copack.__all__ == sorted(PACKAGE_NAMES) and set(PACKAGE_NAMES) <= set(dir(copack))
+    for name in PACKAGE_NAMES:
+        obj = getattr(copack, name)
+        if name in ("bdd", "branching", "cutcount", "decomp", "dimacs", "errors", "graph", "oracles"):
+            assert obj is importlib.import_module("copack." + name), name
+        else:
+            assert obj.__module__.startswith("copack.") and getattr(sys.modules[obj.__module__], name) is obj, name
+    star: dict = {}
+    exec("from copack import *", star)
+    assert all(star[name] is getattr(copack, name) for name in PACKAGE_NAMES)
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        line = next(line for line in fh if line.startswith("from copack import"))
+    shown: dict = {}
+    exec(line, shown)
+    assert shown["solve_cpcp"] is copack.branching.solve_cpcp and shown["Graph"] is copack.graph.Graph
+    with pytest.raises(AttributeError, match="no_such_name"):
+        copack.no_such_name
+    with pytest.raises(ImportError):
+        exec("from copack import no_such_name", {})
 
 
 def subdivided_graph(core_n, core_m, seed):
